@@ -244,3 +244,51 @@ func BenchmarkTransposeFilters(b *testing.B) {
 		}
 	}
 }
+
+// sqlBenchDB loads a small TPC-C database whose stock table (2,000 rows per
+// warehouse) is large next to one StockLevel's ~100 order lines.
+func sqlBenchDB(b *testing.B) *engine.DB {
+	b.Helper()
+	db := engine.New(engine.Options{})
+	if err := tpcc.CreateSchema(db); err != nil {
+		b.Fatal(err)
+	}
+	scale := tpcc.Scale{Warehouses: 1, DistrictsPerW: 2, CustomersPerDist: 30,
+		Items: 2000, InitialOrdersPerD: 60, MaxLinesPerOrder: 10}
+	if err := tpcc.Load(db, scale, 1); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkStockLevelSQL measures TPC-C StockLevel as SQL text: the last 20
+// orders' lines joined with stock through stock_pkey (constant warehouse
+// plus joined item id), not a hash of the warehouse's stock.
+func BenchmarkStockLevelSQL(b *testing.B) {
+	db := sqlBenchDB(b)
+	q := `SELECT COUNT(DISTINCT s.s_i_id) FROM order_line l, stock s WHERE l.ol_w_id = 1 AND l.ol_d_id = 1
+		AND l.ol_o_id >= 41 AND l.ol_o_id < 61 AND s.s_w_id = 1 AND s.s_i_id = l.ol_i_id AND s.s_quantity < 15`
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Exec(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeliveryMinSQL measures Delivery's oldest-new-order lookup as SQL
+// text: a first-entry probe of new_order_pkey.
+func BenchmarkDeliveryMinSQL(b *testing.B) {
+	db := sqlBenchDB(b)
+	q := `SELECT MIN(no_o_id) FROM new_order WHERE no_w_id = 1 AND no_d_id = 2`
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Exec(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].IsNull() {
+			b.Fatalf("MIN(no_o_id) = %v", res.Rows)
+		}
+	}
+}

@@ -231,3 +231,37 @@ func assertCode(t *testing.T, err error, code bullfrog.Code, sentinel error) {
 		t.Errorf("errors.Is(%v, %v) = false", err, sentinel)
 	}
 }
+
+// TestDeleteRacingCommittedDelete: two transactions take their snapshots
+// before either deletes the same row. The first commits its DELETE; the
+// second's DELETE (and an UPDATE in a third transaction of the same shape)
+// must fail as a retryable serialization conflict, not as an untyped
+// storage error.
+func TestDeleteRacingCommittedDelete(t *testing.T) {
+	for _, second := range []string{
+		`DELETE FROM q WHERE id = 1`,
+		`UPDATE q SET v = 2 WHERE id = 1`,
+	} {
+		t.Run(strings.Fields(second)[0], func(t *testing.T) {
+			db := bullfrog.Open(bullfrog.Options{})
+			defer db.Close()
+			if _, err := db.Exec(`CREATE TABLE q (id INT PRIMARY KEY, v INT); INSERT INTO q VALUES (1, 0)`); err != nil {
+				t.Fatal(err)
+			}
+			t1, t2 := db.Begin(), db.Begin()
+			if _, err := t1.Exec(`DELETE FROM q WHERE id = 1`); err != nil {
+				t.Fatal(err)
+			}
+			if err := t1.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			before := db.Metrics().Txn.WriteConflicts
+			_, err := t2.Exec(second)
+			_ = t2.Abort()
+			assertCode(t, err, bullfrog.CodeSerialization, bullfrog.ErrSerialization)
+			if got := db.Metrics().Txn.WriteConflicts - before; got != 1 {
+				t.Errorf("write conflicts counted = %d, want 1", got)
+			}
+		})
+	}
+}

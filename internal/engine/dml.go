@@ -316,6 +316,22 @@ func (db *DB) UpdateRow(tx *txn.Txn, tbl *catalog.Table, tid storage.TID, newRow
 			return fmt.Errorf("%w %q on table %q", ErrUniqueViolation, def.Name, tbl.Def.Name)
 		}
 	}
+	// Postings for changed keys. The old key's posting stays: older
+	// snapshots still read the old version through it, and readers re-check
+	// keys. Vacuum deletes it once it prunes the last version with that key.
+	type posting struct {
+		idx    index.Index
+		key    []byte
+		shared bool // an older version has the key too, so its posting predates us
+	}
+	var added []posting
+	for _, idx := range tbl.Indexes() {
+		oldKey := idx.Def().KeyFromRow(oldRow)
+		newKey := idx.Def().KeyFromRow(newRow)
+		if string(oldKey) != string(newKey) {
+			added = append(added, posting{idx: idx, key: newKey})
+		}
+	}
 	if err := tbl.Heap.Mutate(tid, func(s storage.Slot) error {
 		if ok, cerr := tx.CheckWritable(s.Head()); cerr != nil || !ok {
 			if cerr != nil {
@@ -323,7 +339,15 @@ func (db *DB) UpdateRow(tx *txn.Txn, tbl *catalog.Table, tid storage.TID, newRow
 			}
 			return storage.ErrNoSuchTuple
 		}
+		for i := range added {
+			for v := s.Head(); v != nil && !added[i].shared; v = v.Next {
+				added[i].shared = sameCols(added[i].idx.Def().Columns, v.Row, newRow)
+			}
+		}
 		s.Push(tx.ID(), newRow)
+		if len(added) > 0 {
+			s.MarkKeysMoved()
+		}
 		return nil
 	}); err != nil {
 		return err
@@ -331,22 +355,10 @@ func (db *DB) UpdateRow(tx *txn.Txn, tbl *catalog.Table, tid storage.TID, newRow
 	// Buffer redo only after the mutate succeeds so a failed statement in a
 	// transaction that later commits cannot replay a phantom update.
 	db.LogRedo(tx, wal.Record{Type: wal.RecUpdate, Table: tbl.Def.Name, TID: tid, Row: newRow})
-	// Maintain indexes for changed keys; stale old entries are tolerated by
-	// read-side rechecks and swept by vacuum.
-	var added []struct {
-		idx index.Index
-		key []byte
-	}
-	for _, idx := range tbl.Indexes() {
-		oldKey := idx.Def().KeyFromRow(oldRow)
-		newKey := idx.Def().KeyFromRow(newRow)
-		if string(oldKey) != string(newKey) {
-			idx.Insert(newKey, tid)
-			added = append(added, struct {
-				idx index.Index
-				key []byte
-			}{idx, newKey})
-		}
+	// Insert after the push: a vacuum that unposts a removed key re-checks
+	// the chain afterwards, and so sees any version that got the key back.
+	for _, a := range added {
+		a.idx.Insert(a.key, tid)
 	}
 	tx.OnAbort(func() {
 		// Abort cleanup is best-effort: a missing tuple has nothing to undo.
@@ -355,7 +367,9 @@ func (db *DB) UpdateRow(tx *txn.Txn, tbl *catalog.Table, tid storage.TID, newRow
 			return nil
 		})
 		for _, a := range added {
-			a.idx.Delete(a.key, tid)
+			if !a.shared { // an older version still needs a shared posting
+				a.idx.Delete(a.key, tid)
+			}
 		}
 	})
 	return nil

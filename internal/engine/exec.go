@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/bullfrogdb/bullfrog/internal/catalog"
@@ -88,13 +90,14 @@ func (n *renameNode) execute(ctx *execCtx, emit emitFn) error {
 // through an index range. The full filter is always re-applied to fetched
 // rows, so index entries may safely be stale (key-changing updates).
 type scanNode struct {
-	tbl     *catalog.Table
-	alias   string
-	cols    []Column
-	filter  expr.Expr // bound to the table row; nil = all rows
-	idx     index.Index
-	lo, hi  []byte
-	idxDesc string
+	tbl       *catalog.Table
+	alias     string
+	cols      []Column
+	filter    expr.Expr // bound to the table row; nil = all rows
+	idx       index.Index
+	lo, hi    []byte
+	idxDesc   string
+	idxPrefix int // index columns fixed by the filter's equalities
 }
 
 func (n *scanNode) columns() []Column    { return n.cols }
@@ -285,21 +288,38 @@ func (n *nlJoinNode) execute(ctx *execCtx, emit emitFn) error {
 	})
 }
 
-// indexJoinNode looks up right-side rows through an index keyed by
-// expressions over the left row.
+// indexJoinNode looks up right-side rows through an index: each left row
+// builds a key for the index's first len(probe) columns from constants of the
+// right scan's filter and join-key expressions over the left row, and probes
+// it.
 type indexJoinNode struct {
 	left     planNode
 	right    *scanNode
 	idx      index.Index
-	leftKeys []expr.Expr // bound to left columns
+	probe    []probeCol
 	cols     []Column
 	residual expr.Expr // bound to concatenated columns
 }
 
+// probeCol supplies one index column of an index join's probe key: a join
+// key over the left row, or (expr nil) a constant.
+type probeCol struct {
+	expr expr.Expr // bound to left columns
+	val  types.Datum
+}
+
+// children omits the right scan: the join probes its table and applies its
+// filter itself, never running the scan, so describe shows both.
 func (n *indexJoinNode) columns() []Column    { return n.cols }
-func (n *indexJoinNode) children() []planNode { return []planNode{n.left, n.right} }
+func (n *indexJoinNode) children() []planNode { return []planNode{n.left} }
 func (n *indexJoinNode) describe() string {
-	s := fmt.Sprintf("Index Nested Loop using %s on %s", n.idx.Def().Name, n.right.tbl.Def.Name)
+	s := fmt.Sprintf("Index Nested Loop using %s (=%d cols) on %s", n.idx.Def().Name, len(n.probe), n.right.tbl.Def.Name)
+	if n.right.alias != n.right.tbl.Def.Name {
+		s += " " + n.right.alias
+	}
+	if n.right.filter != nil {
+		s += "\n  Filter: " + n.right.filter.String()
+	}
 	if n.residual != nil {
 		s += "\n  Join Filter: " + n.residual.String()
 	}
@@ -309,51 +329,54 @@ func (n *indexJoinNode) describe() string {
 func (n *indexJoinNode) execute(ctx *execCtx, emit emitFn) error {
 	leftWidth := len(n.left.columns())
 	out := make(types.Row, len(n.cols))
-	keyRow := make(types.Row, len(n.leftKeys))
-	fullKey := len(n.leftKeys) == len(n.idx.Def().Columns)
+	keyRow := make(types.Row, len(n.probe))
+	idxCols := n.idx.Def().Columns
+	exact := len(n.probe) == len(idxCols)
+	var key []byte
+	var tids []storage.TID
+	var scanned int64
+	defer func() { ctx.db.met.Engine.RowsScanned.Add(scanned) }()
 	return n.left.execute(ctx, func(lrow types.Row) error {
-		for i, ke := range n.leftKeys {
-			v, err := ke.Eval(lrow)
-			if err != nil {
-				return err
+		for i, p := range n.probe {
+			v := p.val
+			if p.expr != nil {
+				var err error
+				if v, err = p.expr.Eval(lrow); err != nil {
+					return err
+				}
 			}
 			if v.IsNull() {
 				return nil // NULL never joins
 			}
 			keyRow[i] = v
 		}
-		saved := append(types.Row(nil), lrow...)
-		encoded := types.EncodeKey(nil, keyRow)
-		var tids []storage.TID
-		if fullKey {
-			tids = n.idx.Lookup(encoded)
+		key = types.EncodeKey(key[:0], keyRow)
+		if exact {
+			tids = n.idx.Lookup(key)
 		} else {
-			n.idx.AscendRange(encoded, index.PrefixSucc(encoded), func(_ []byte, tid storage.TID) bool {
+			tids = tids[:0]
+			n.idx.AscendRange(key, index.PrefixSucc(key), func(_ []byte, tid storage.TID) bool {
 				tids = append(tids, tid)
 				return true
 			})
+			// Stale postings can list a tuple under several keys of the
+			// prefix: visit each once.
+			sort.Slice(tids, func(i, j int) bool { return tidLess(tids[i], tids[j]) })
+			tids = slices.Compact(tids)
 		}
-		seen := make(map[storage.TID]struct{}, len(tids))
+		copy(out, lrow)
 		for _, tid := range tids {
-			if _, dup := seen[tid]; dup {
-				continue
-			}
-			seen[tid] = struct{}{}
+			scanned++
 			var innerErr error
 			err := n.right.tbl.Heap.View(tid, func(head *storage.Version) {
 				rrow, ok := ctx.tx.VisibleRow(head)
 				if !ok {
 					return
 				}
-				// Re-check the join key against the visible row (stale
-				// index entries) plus the right scan's own filter.
-				rkey := make(types.Row, len(n.leftKeys))
-				def := n.idx.Def()
-				for i := range n.leftKeys {
-					rkey[i] = rrow[def.Columns[i]]
-				}
-				for i := range rkey {
-					if !types.Equal(rkey[i], keyRow[i]) {
+				// Re-check the probed columns against the visible row (stale
+				// postings), then the right scan's own filter.
+				for i, v := range keyRow {
+					if !types.Equal(rrow[idxCols[i]], v) {
 						return
 					}
 				}
@@ -367,7 +390,6 @@ func (n *indexJoinNode) execute(ctx *execCtx, emit emitFn) error {
 						return
 					}
 				}
-				copy(out, saved)
 				copy(out[leftWidth:], rrow)
 				if n.residual != nil {
 					keep, err := expr.EvalBool(n.residual, out)
@@ -390,6 +412,10 @@ func (n *indexJoinNode) execute(ctx *execCtx, emit emitFn) error {
 		}
 		return nil
 	})
+}
+
+func tidLess(a, b storage.TID) bool {
+	return a.Page < b.Page || a.Page == b.Page && a.Slot < b.Slot
 }
 
 // hashJoinNode builds a hash table over the right input and probes it with
@@ -695,6 +721,70 @@ func (n *aggNode) execute(ctx *execCtx, emit emitFn) error {
 		}
 	}
 	return nil
+}
+
+// minProbeNode answers a lone ungrouped MIN(col) through the scan's index
+// when col is the index column right after the equality prefix the scan's
+// filter fixes: entries then arrive in col order, so the first entry whose
+// row is visible, passes the filter with a non-NULL col, and still has the
+// entry's key (a stale posting of a key-changing update does not) holds the
+// minimum. The visible version's own key always has a posting, because
+// vacuum only removes postings of versions no snapshot can see.
+type minProbeNode struct {
+	scan *scanNode
+	ord  int      // table ordinal of the MIN column
+	cols []Column // the aggregate's single output column
+}
+
+func (n *minProbeNode) columns() []Column    { return n.cols }
+func (n *minProbeNode) children() []planNode { return []planNode{n.scan} }
+func (n *minProbeNode) describe() string {
+	return "Index Min Probe: MIN(" + n.scan.tbl.Def.Columns[n.ord].Name + ")"
+}
+
+func (n *minProbeNode) execute(ctx *execCtx, emit emitFn) error {
+	sn := n.scan
+	idxCols := sn.idx.Def().Columns
+	best := types.Null
+	var rowKey []byte
+	var scanErr error
+	var scanned int64
+	defer func() { ctx.db.met.Engine.RowsScanned.Add(scanned) }()
+	sn.idx.AscendRange(sn.lo, sn.hi, func(key []byte, tid storage.TID) bool {
+		scanned++
+		err := sn.tbl.Heap.View(tid, func(head *storage.Version) {
+			row, ok := ctx.tx.VisibleRow(head)
+			if !ok || row[n.ord].IsNull() {
+				return
+			}
+			rowKey = rowKey[:0]
+			for _, ord := range idxCols {
+				rowKey = types.EncodeDatum(rowKey, row[ord])
+			}
+			if !bytes.Equal(rowKey, key) {
+				return // stale posting: the row sits at its current key
+			}
+			if sn.filter != nil {
+				keep, err := expr.EvalBool(sn.filter, row)
+				if err != nil {
+					scanErr = err
+					return
+				}
+				if !keep {
+					return
+				}
+			}
+			best = row[n.ord]
+		})
+		if err != nil && err != storage.ErrNoSuchTuple {
+			scanErr = err
+		}
+		return scanErr == nil && best.IsNull()
+	})
+	if scanErr != nil {
+		return scanErr
+	}
+	return emit(types.Row{best})
 }
 
 // --- sort / limit / distinct ---

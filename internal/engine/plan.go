@@ -157,6 +157,15 @@ type planBuilder struct {
 	cat        *catalog.Version // the catalog version names resolve against
 	boundAlias string
 	boundRows  *BoundRows
+	rules      accessRules
+}
+
+// accessRules turns off the planner's index-bounded access paths, so a test
+// can run a query through the general operators as well and compare. The
+// zero value, which every production plan uses, enables them all.
+type accessRules struct {
+	noIndexJoin bool // hash join instead of an index nested loop
+	noMinProbe  bool // full aggregate instead of the first-entry MIN probe
 }
 
 // source is one FROM item during planning.
@@ -454,6 +463,14 @@ func (b *planBuilder) buildJoin(left, right planNode, preds []expr.Expr) (planNo
 		}
 		residual = append(residual, p)
 	}
+	if len(leftKeys) > 0 {
+		if rsn, ok := right.(*scanNode); ok && !b.rules.noIndexJoin {
+			n, err := buildIndexJoin(left, rsn, leftKeys, rightKeys, residual, outCols)
+			if n != nil || err != nil {
+				return n, err
+			}
+		}
+	}
 	var boundResidual expr.Expr
 	if len(residual) > 0 {
 		var err error
@@ -462,44 +479,7 @@ func (b *planBuilder) buildJoin(left, right planNode, preds []expr.Expr) (planNo
 			return nil, err
 		}
 	}
-
 	if len(leftKeys) > 0 {
-		// Index nested-loop when the right side is a bare scan with an index
-		// on exactly the joined columns.
-		if rsn, ok := right.(*scanNode); ok && rsn.idx == nil {
-			ords := make([]int, 0, len(rightKeys))
-			for _, rk := range rightKeys {
-				c, isCol := rk.(*expr.Col)
-				if !isCol {
-					ords = nil
-					break
-				}
-				ord := rsn.tbl.Def.ColumnIndex(c.Name)
-				if ord < 0 {
-					ords = nil
-					break
-				}
-				ords = append(ords, ord)
-			}
-			if ords != nil {
-				if idx := rsn.tbl.IndexOnPrefix(ords); idx != nil {
-					boundLeftKeys := make([]expr.Expr, len(leftKeys))
-					for i, lk := range leftKeys {
-						blk, err := expr.Bind(lk, scopeOf(leftCols))
-						if err != nil {
-							return nil, err
-						}
-						boundLeftKeys[i] = blk
-					}
-					return &indexJoinNode{
-						left: left, right: rsn, idx: idx,
-						leftKeys: boundLeftKeys, cols: outCols,
-						residual: boundResidual,
-					}, nil
-				}
-			}
-		}
-		// Hash join.
 		bl := make([]expr.Expr, len(leftKeys))
 		br := make([]expr.Expr, len(rightKeys))
 		for i := range leftKeys {
@@ -516,6 +496,95 @@ func (b *planBuilder) buildJoin(left, right planNode, preds []expr.Expr) (planNo
 
 	// Cartesian nested loop with residual filter.
 	return &nlJoinNode{left: left, right: right, cols: outCols, pred: boundResidual}, nil
+}
+
+// buildIndexJoin plans an index nested-loop join of left with the right
+// scan when some index on the right table has a prefix whose every column is
+// fixed, either by a `col = const` conjunct of the scan's filter or by an
+// equi-join key, with at least one join key among them. Each left row then
+// probes that prefix; the join keys the probe does not use join the residual.
+// It returns nil when no index qualifies, or when the scan's own index
+// already fixes as long a prefix: the right side is then no larger than one
+// probe's result, and a single hash build beats a probe per left row.
+func buildIndexJoin(left planNode, rsn *scanNode, leftKeys, rightKeys, residual []expr.Expr, outCols []Column) (planNode, error) {
+	joinAt := map[int]int{} // right table ordinal -> position in leftKeys
+	for i, rk := range rightKeys {
+		c, ok := rk.(*expr.Col)
+		if !ok {
+			continue
+		}
+		if ord := rsn.tbl.Def.ColumnIndex(c.Name); ord >= 0 {
+			if _, dup := joinAt[ord]; !dup {
+				joinAt[ord] = i
+			}
+		}
+	}
+	if len(joinAt) == 0 {
+		return nil, nil
+	}
+	consts, _ := rsn.filterBounds()
+	var best index.Index
+	bestPrefix := 0
+	for _, idx := range rsn.tbl.Indexes() {
+		def := idx.Def()
+		prefix, joins := 0, 0
+		for _, ord := range def.Columns {
+			if _, ok := consts[ord]; ok {
+				prefix++
+			} else if _, ok := joinAt[ord]; ok {
+				prefix++
+				joins++
+			} else {
+				break
+			}
+		}
+		if joins == 0 || prefix <= rsn.idxPrefix {
+			continue
+		}
+		if _, hash := idx.(*index.Hash); hash && prefix < len(def.Columns) {
+			continue // a hash index answers only whole-key lookups
+		}
+		if best == nil || prefix > bestPrefix || (prefix == bestPrefix &&
+			(def.Unique && !best.Def().Unique || def.Unique == best.Def().Unique && len(def.Columns) < len(best.Def().Columns))) {
+			best, bestPrefix = idx, prefix
+		}
+	}
+	if best == nil {
+		return nil, nil
+	}
+	leftCols := left.columns()
+	probe := make([]probeCol, bestPrefix)
+	usedKey := make([]bool, len(leftKeys))
+	for i, ord := range best.Def().Columns[:bestPrefix] {
+		if v, ok := consts[ord]; ok {
+			probe[i].val = v
+			continue
+		}
+		k := joinAt[ord]
+		bound, err := expr.Bind(leftKeys[k], scopeOf(leftCols))
+		if err != nil {
+			return nil, err
+		}
+		probe[i].expr = bound
+		usedKey[k] = true
+	}
+	for k, used := range usedKey {
+		if !used {
+			residual = append(residual, &expr.BinOp{Op: expr.OpEq, L: leftKeys[k], R: rightKeys[k]})
+		}
+	}
+	var boundResidual expr.Expr
+	if len(residual) > 0 {
+		var err error
+		boundResidual, err = expr.Bind(expr.CombineConjuncts(residual...), scopeOf(outCols))
+		if err != nil {
+			return nil, err
+		}
+	}
+	return &indexJoinNode{
+		left: left, right: rsn, idx: best, probe: probe,
+		cols: outCols, residual: boundResidual,
+	}, nil
 }
 
 func colInScope(cols []Column, c *expr.Col) bool {
@@ -674,7 +743,10 @@ func (b *planBuilder) buildAggregate(child planNode, s *sql.SelectStmt, items []
 		aggOutCols = append(aggOutCols, Column{Name: fmt.Sprintf("agg_%d", i), Kind: kind})
 	}
 
-	aggN := &aggNode{child: child, groupBy: groupExprs, specs: specs, cols: aggOutCols}
+	var aggN planNode = &aggNode{child: child, groupBy: groupExprs, specs: specs, cols: aggOutCols}
+	if probe := b.minProbe(child, groupExprs, specs, aggOutCols); probe != nil {
+		aggN = probe
+	}
 
 	// Rewrite an expression over the input into one over the aggregate's
 	// output in two passes (Transform is bottom-up, so aggregate subtrees
@@ -742,7 +814,7 @@ func (b *planBuilder) buildAggregate(child planNode, s *sql.SelectStmt, items []
 		}
 		newItems[i] = boundItem{Expr: re, Name: it.Name, Table: ""}
 	}
-	var out planNode = aggN
+	out := aggN
 	if s.Having != nil {
 		rh, err := rewrite(s.Having)
 		if err != nil {
@@ -751,6 +823,30 @@ func (b *planBuilder) buildAggregate(child planNode, s *sql.SelectStmt, items []
 		out = &filterNode{child: aggN, pred: rh}
 	}
 	return out, newItems, nil
+}
+
+// minProbe returns a first-entry probe for a lone ungrouped MIN(col) over a
+// scan whose chosen B+tree index has col right after the equality prefix the
+// filter fixes (see minProbeNode), or nil when the query does not have that
+// shape. The column must have a declared kind, because index order matches
+// Compare order only within one kind.
+func (b *planBuilder) minProbe(child planNode, groupBy []expr.Expr, specs []*expr.Agg, cols []Column) planNode {
+	if b.rules.noMinProbe || len(groupBy) != 0 || len(specs) != 1 || specs[0].Name != "MIN" {
+		return nil
+	}
+	sn, ok := child.(*scanNode)
+	if !ok || sn.idx == nil {
+		return nil
+	}
+	col, ok := specs[0].Arg.(*expr.Col)
+	if !ok || col.Index < 0 || sn.cols[col.Index].Kind == types.KindNull {
+		return nil
+	}
+	idxCols := sn.idx.Def().Columns
+	if _, hash := sn.idx.(*index.Hash); hash || sn.idxPrefix >= len(idxCols) || idxCols[sn.idxPrefix] != col.Index {
+		return nil
+	}
+	return &minProbeNode{scan: sn, ord: col.Index, cols: cols}
 }
 
 // --- scan node construction & index selection ---
@@ -770,23 +866,24 @@ func (sn *scanNode) addFilter(bound expr.Expr) {
 	sn.chooseIndex()
 }
 
-// chooseIndex inspects the filter's conjuncts for equality (col = const)
-// prefixes over an index, plus an optional range bound on the following
-// index column.
-func (sn *scanNode) chooseIndex() {
-	sn.idx, sn.lo, sn.hi, sn.idxDesc = nil, nil, nil, ""
-	if sn.filter == nil {
-		return
-	}
+// colRange is a range bound on one column taken from the scan's filter.
+type colRange struct {
+	lo, hi       *types.Datum
+	loInc, hiInc bool
+}
+
+// filterBounds classifies the filter's `col OP const` conjuncts into
+// equalities and range bounds, by table ordinal. NULL constants never match,
+// so they bound nothing.
+func (sn *scanNode) filterBounds() (map[int]types.Datum, map[int]*colRange) {
 	eq := map[int]types.Datum{}
-	type rng struct {
-		lo, hi       *types.Datum
-		loInc, hiInc bool
+	ranges := map[int]*colRange{}
+	if sn.filter == nil {
+		return eq, ranges
 	}
-	ranges := map[int]*rng{}
-	getRange := func(ord int) *rng {
+	getRange := func(ord int) *colRange {
 		if ranges[ord] == nil {
-			ranges[ord] = &rng{}
+			ranges[ord] = &colRange{}
 		}
 		return ranges[ord]
 	}
@@ -837,6 +934,18 @@ func (sn *scanNode) chooseIndex() {
 			r.hi, r.hiInc = &v, true
 		}
 	}
+	return eq, ranges
+}
+
+// chooseIndex inspects the filter's conjuncts for equality (col = const)
+// prefixes over an index, plus an optional range bound on the following
+// index column.
+func (sn *scanNode) chooseIndex() {
+	sn.idx, sn.lo, sn.hi, sn.idxDesc, sn.idxPrefix = nil, nil, nil, "", 0
+	if sn.filter == nil {
+		return
+	}
+	eq, ranges := sn.filterBounds()
 	if len(eq) == 0 && len(ranges) == 0 {
 		return
 	}
@@ -891,5 +1000,5 @@ func (sn *scanNode) chooseIndex() {
 		desc += "+range"
 	}
 	desc += ")"
-	sn.idx, sn.lo, sn.hi, sn.idxDesc = best, lo, hi, desc
+	sn.idx, sn.lo, sn.hi, sn.idxDesc, sn.idxPrefix = best, lo, hi, desc, bestPrefix
 }

@@ -3,9 +3,12 @@ package engine
 import (
 	"fmt"
 	"io"
+	"slices"
 
+	"github.com/bullfrogdb/bullfrog/internal/index"
 	"github.com/bullfrogdb/bullfrog/internal/storage"
 	"github.com/bullfrogdb/bullfrog/internal/txn"
+	"github.com/bullfrogdb/bullfrog/internal/types"
 	"github.com/bullfrogdb/bullfrog/internal/wal"
 )
 
@@ -87,20 +90,35 @@ func (a *applier) apply(rec wal.Record) error {
 			// from a truncated log cannot reconstruct it.
 			return fmt.Errorf("engine: recovery: update to unknown tuple %s in %q", rec.TID, rec.Table)
 		}
+		// Replay runs under one transaction, so a head it created itself is
+		// invisible to everyone until the end: overwrite it instead of
+		// pushing a version nobody can ever read. A hot row (a warehouse's
+		// w_ytd) would otherwise end up with one version per update in the
+		// log.
+		var old types.Row
+		var replaced, sole bool
 		err = tbl.Heap.Mutate(newTID, func(s storage.Slot) error {
-			old := s.Head().Row
-			s.Push(a.tx.ID(), rec.Row)
-			for _, idx := range tbl.Indexes() {
-				oldKey := idx.Def().KeyFromRow(old)
-				newKey := idx.Def().KeyFromRow(rec.Row)
-				if string(oldKey) != string(newKey) {
-					idx.Insert(newKey, newTID)
-				}
+			old = s.Head().Row
+			replaced = s.Replace(a.tx.ID(), rec.Row)
+			sole = s.Head().Next == nil
+			if !replaced {
+				s.Push(a.tx.ID(), rec.Row)
+				s.MarkKeysMoved() // conservatively: keys are compared below
 			}
 			return nil
 		})
 		if err != nil {
 			return err
+		}
+		for _, idx := range tbl.Indexes() {
+			oldKey := idx.Def().KeyFromRow(old)
+			newKey := idx.Def().KeyFromRow(rec.Row)
+			if string(oldKey) != string(newKey) {
+				idx.Insert(newKey, newTID)
+				if replaced && sole {
+					idx.Delete(oldKey, newTID) // no version holds the old key any more
+				}
+			}
 		}
 		a.stats.Updates++
 	case wal.RecDelete:
@@ -324,10 +342,12 @@ func (db *DB) RecoverFrom(src *wal.RecoverySource, onMigrated func(tracker strin
 	return stats, nil
 }
 
-// Vacuum prunes dead version chains across all tables, trims transaction
-// state for everything below the resulting horizon, and cuts catalog versions
-// no live snapshot can still resolve. Returns pruned row-version and state
-// counts (catalog versions are reported via catalog.versions_live).
+// Vacuum prunes dead version chains across all tables, empties the slots of
+// tuples whose deletion every snapshot sees, deletes the index postings only
+// removed versions held, trims transaction state for everything below the
+// resulting horizon, and cuts catalog versions no live snapshot can still
+// resolve. Returns pruned row-version and state counts (catalog versions are
+// reported via catalog.versions_live).
 func (db *DB) Vacuum() (versions, states int) {
 	horizon := db.tm.OldestActiveSnapshot()
 	for _, name := range db.cat.TableNames() {
@@ -335,13 +355,109 @@ func (db *DB) Vacuum() (versions, states int) {
 		if err != nil {
 			continue
 		}
+		idxs := tbl.Indexes()
+		keyCols := indexColumns(idxs)
+		var drop []deadPosting
 		versions += tbl.Heap.Vacuum(func(v *storage.Version) bool {
 			return db.versionDeadBefore(v, horizon)
+		}, func(tid storage.TID, live, dead *storage.Version) {
+			drop = appendDeadPostings(drop, idxs, keyCols, tid, live, dead)
 		})
+		// Postings go only now that the page latches are released.
+		var restore []deadPosting
+		for _, p := range drop {
+			p.idx.Delete(p.key, p.tid)
+			if p.live {
+				restore = append(restore, p)
+			}
+		}
+		// A surviving tuple may have been updated back to a removed key
+		// between collection and delete: that update found the posting
+		// still there (Insert ignores duplicates), so put it back.
+		for _, p := range restore {
+			if chainHasKey(tbl.Heap, p.tid, p.idx.Def(), p.key) {
+				p.idx.Insert(p.key, p.tid)
+			}
+		}
 	}
 	states = db.tm.PruneStates(horizon)
 	db.cat.Prune(horizon)
 	return versions, states
+}
+
+// deadPosting is an index posting that only vacuumed versions held. live
+// marks postings of a tuple that still exists.
+type deadPosting struct {
+	idx  index.Index
+	key  []byte
+	tid  storage.TID
+	live bool
+}
+
+// appendDeadPostings collects, per index, the keys of the removed versions
+// in dead that no version of the surviving chain live still has (every key,
+// when live is nil). keyCols is the union of the indexes' columns: a removed
+// version identical to the head on all of them, the common case of an update
+// that moves no key, is skipped without looking at each index. It runs under
+// the page latch and only reads the chains.
+func appendDeadPostings(out []deadPosting, idxs []index.Index, keyCols []int, tid storage.TID, live, dead *storage.Version) []deadPosting {
+	for d := dead; d != nil; d = d.Next {
+		if live != nil && sameCols(keyCols, live.Row, d.Row) {
+			continue
+		}
+	indexes:
+		for _, idx := range idxs {
+			def := idx.Def()
+			for v := live; v != nil; v = v.Next {
+				if sameCols(def.Columns, v.Row, d.Row) {
+					continue indexes
+				}
+			}
+			for e := dead; e != d; e = e.Next {
+				if sameCols(def.Columns, e.Row, d.Row) {
+					continue indexes // already collected
+				}
+			}
+			out = append(out, deadPosting{idx: idx, key: def.KeyFromRow(d.Row), tid: tid, live: live != nil})
+		}
+	}
+	return out
+}
+
+// sameCols reports whether two rows agree on the given columns, value and
+// kind, so any index over them encodes both to the same key.
+func sameCols(cols []int, a, b types.Row) bool {
+	for _, ord := range cols {
+		if !types.Identical(a[ord], b[ord]) {
+			return false
+		}
+	}
+	return true
+}
+
+// indexColumns returns the union of the indexes' columns.
+func indexColumns(idxs []index.Index) []int {
+	var cols []int
+	for _, idx := range idxs {
+		for _, ord := range idx.Def().Columns {
+			if !slices.Contains(cols, ord) {
+				cols = append(cols, ord)
+			}
+		}
+	}
+	return cols
+}
+
+// chainHasKey reports whether any version of the tuple at tid has key in
+// the index described by def.
+func chainHasKey(h *storage.Heap, tid storage.TID, def *index.Def, key []byte) bool {
+	found := false
+	_ = h.View(tid, func(head *storage.Version) { // an emptied slot has no key
+		for v := head; v != nil && !found; v = v.Next {
+			found = string(def.KeyFromRow(v.Row)) == string(key)
+		}
+	})
+	return found
 }
 
 // versionDeadBefore reports whether v was deleted/superseded by a transaction

@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"github.com/bullfrogdb/bullfrog/internal/storage"
 	"github.com/bullfrogdb/bullfrog/internal/wal"
 )
 
@@ -90,5 +91,52 @@ func TestRecoverTornLog(t *testing.T) {
 	// The torn tail cut the commit record, so nothing replays.
 	if stats.Inserts != 0 {
 		t.Errorf("torn log replayed %d inserts", stats.Inserts)
+	}
+}
+
+// TestReplayOverwritesItsOwnHeads: replay applies the log in one
+// transaction, so every update overwrites the head that transaction created
+// instead of stacking versions nobody can read, and a replayed key change
+// leaves only the new key's posting.
+func TestReplayOverwritesItsOwnHeads(t *testing.T) {
+	var logBuf bytes.Buffer
+	db := New(Options{WAL: wal.NewWriter(&logBuf)})
+	mustExec(t, db, recoverSchema)
+	mustExec(t, db, `INSERT INTO accounts VALUES (1, 'alice', 0), (2, 'bob', 0)`)
+	for i := 0; i < 50; i++ {
+		mustExec(t, db, `UPDATE accounts SET bal = bal + 1 WHERE id = 1`)
+	}
+	mustExec(t, db, `UPDATE accounts SET owner = 'robert' WHERE id = 2`)
+
+	db2 := New(Options{})
+	mustExec(t, db2, recoverSchema)
+	if _, err := db2.Recover(func() (io.Reader, error) { return bytes.NewReader(logBuf.Bytes()), nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db2.Catalog().Table("accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := 0
+	tbl.Heap.Scan(func(_ storage.TID, head *storage.Version) error {
+		for v := head; v != nil; v = v.Next {
+			versions++
+		}
+		return nil
+	})
+	if versions != 2 {
+		t.Errorf("replayed heap holds %d versions for 2 rows, want 2", versions)
+	}
+	for _, idx := range tbl.Indexes() {
+		if idx.Len() != 2 {
+			t.Errorf("index %s has %d postings after replay, want 2", idx.Def().Name, idx.Len())
+		}
+	}
+	res := mustExec(t, db2, `SELECT bal FROM accounts WHERE id = 1`)
+	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 50 {
+		t.Errorf("replayed balance: %v", res.Rows)
+	}
+	if res := mustExec(t, db2, `SELECT id FROM accounts WHERE owner = 'robert'`); len(res.Rows) != 1 {
+		t.Errorf("moved key after replay: %v", res.Rows)
 	}
 }

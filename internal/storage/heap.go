@@ -15,6 +15,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	mathbits "math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -56,11 +57,29 @@ type Version struct {
 
 type page struct {
 	mu    sync.RWMutex
-	slots []*Version // head (newest) version per slot; nil only transiently
+	slots []*Version // head (newest) version per slot; nil while an insert fills it, and after vacuum empties it
+	// chained has a bit per slot that gained a second version or a
+	// deletion mark since a vacuum last found it single and live; vacuum
+	// visits only those slots. chains mirrors "some bit is set" so vacuum
+	// can skip a page without its latch.
+	chained []uint64
+	chains  atomic.Bool
+	// keysMoved is set by MarkKeysMoved and cleared with chains.
+	keysMoved atomic.Bool
+}
+
+// markChained records that slot has a chain or a deletion mark. Must hold
+// the page write latch.
+func (p *page) markChained(slot uint32) {
+	for int(slot/64) >= len(p.chained) {
+		p.chained = append(p.chained, 0)
+	}
+	p.chained[slot/64] |= 1 << (slot % 64)
+	p.chains.Store(true)
 }
 
 // Heap is an append-only collection of pages. Slots are never reused; a
-// deleted tuple's chain remains until vacuum truncates dead versions.
+// deleted tuple's chain remains until vacuum empties its slot.
 type Heap struct {
 	pageSize uint32
 	nslots   atomic.Int64 // total slots allocated (high-water mark)
@@ -166,7 +185,27 @@ func (s Slot) Push(xid uint64, row types.Row) {
 	old := s.p.slots[s.slot]
 	old.XMax = xid
 	s.p.slots[s.slot] = &Version{XMin: xid, Row: row, Next: old}
+	s.p.markChained(s.slot)
 }
+
+// Replace overwrites the head version's row in place when xid created that
+// head and nobody deleted it, reporting whether it did. Only a transaction
+// whose own uncommitted head no other snapshot can see may do this; WAL
+// replay, which applies the whole log in one transaction, is the user.
+func (s Slot) Replace(xid uint64, row types.Row) bool {
+	head := s.p.slots[s.slot]
+	if head.XMin != xid || head.XMax != 0 {
+		return false
+	}
+	head.Row = row
+	return true
+}
+
+// MarkKeysMoved records that the head's index keys differ from those of the
+// version it superseded. Vacuum reports the versions it cuts off chains only
+// on pages so marked; elsewhere every removed version shares its keys with
+// the surviving head, so there is nothing to reclaim.
+func (s Slot) MarkKeysMoved() { s.p.keysMoved.Store(true) }
 
 // SetXMax marks the head version as deleted by xid. It fails if another
 // transaction already claimed it.
@@ -176,6 +215,7 @@ func (s Slot) SetXMax(xid uint64) error {
 		return fmt.Errorf("storage: tuple already deleted by txn %d", head.XMax)
 	}
 	head.XMax = xid
+	s.p.markChained(s.slot)
 	return nil
 }
 
@@ -276,25 +316,67 @@ func (h *Heap) ScanRange(lo, hi int64, fn func(tid TID, head *Version) error) er
 	return nil
 }
 
-// Vacuum truncates version chains: any version whose XMin committed before
-// horizon and that is superseded (or deleted) by a version also committed
-// before horizon can be dropped. The caller supplies `prunable`, which
-// reports whether everything at and below the given version is invisible to
-// all current and future snapshots.
-func (h *Heap) Vacuum(prunable func(v *Version) bool) (pruned int) {
+// Vacuum truncates version chains and empties dead slots. `prunable`
+// reports whether a version, and everything older, is invisible to all
+// current and future snapshots. A chain is cut above its first prunable
+// version; a slot whose head itself is prunable (a deletion every snapshot
+// sees) is emptied, so scans skip it and View and Mutate report
+// ErrNoSuchTuple. The slot is not reused.
+//
+// When reclaim is non-nil it is called with the surviving chain (nil for an
+// emptied slot) and the removed one, for every emptied slot and for every
+// cut chain on a page marked by Slot.MarkKeysMoved.
+// Both callbacks run under the page write latch, so they must not block or
+// take locks: a caller that must update other structures (index postings)
+// collects what to do and does it after Vacuum returns. An index scan holds
+// its index lock while it takes page latches, so the opposite nesting would
+// invert the lock order.
+func (h *Heap) Vacuum(prunable func(v *Version) bool, reclaim func(tid TID, live, dead *Version)) (pruned int) {
 	h.mu.RLock()
 	pages := h.pages
 	h.mu.RUnlock()
-	for _, p := range pages {
+	for pn, p := range pages {
+		if !p.chains.Load() {
+			continue // every slot holds a single live version
+		}
 		p.mu.Lock()
-		for _, head := range p.slots {
-			for v := head; v != nil; v = v.Next {
-				if v.Next != nil && prunable(v.Next) {
-					pruned += chainLen(v.Next)
-					v.Next = nil
-					break
+		moved := p.keysMoved.Load()
+		remaining := false
+		for w, bits := range p.chained {
+			for ; bits != 0; bits &= bits - 1 {
+				sn := uint32(w*64 + mathbits.TrailingZeros64(bits))
+				head := p.slots[sn]
+				tid := TID{Page: uint32(pn), Slot: sn}
+				// A version without XMax was never deleted or superseded.
+				if head.XMax != 0 && prunable(head) {
+					pruned += chainLen(head)
+					p.slots[sn] = nil
+					if reclaim != nil {
+						reclaim(tid, nil, head)
+					}
+				} else {
+					for v := head; v.Next != nil; v = v.Next {
+						if prunable(v.Next) {
+							dead := v.Next
+							v.Next = nil
+							pruned += chainLen(dead)
+							if reclaim != nil && moved {
+								reclaim(tid, head, dead)
+							}
+							break
+						}
+					}
+				}
+				if kept := p.slots[sn]; kept == nil || kept.Next == nil && kept.XMax == 0 {
+					p.chained[w] &^= 1 << (sn % 64)
+				} else {
+					remaining = true
 				}
 			}
+		}
+		p.chains.Store(remaining)
+		if !remaining {
+			p.keysMoved.Store(false)
 		}
 		p.mu.Unlock()
 	}

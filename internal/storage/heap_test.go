@@ -235,7 +235,7 @@ func TestVacuum(t *testing.T) {
 		})
 	}
 	// Prune everything older than the newest two versions.
-	pruned := h.Vacuum(func(v *Version) bool { return v.XMin <= 2 })
+	pruned := h.Vacuum(func(v *Version) bool { return v.XMin <= 2 }, nil)
 	if pruned != 2 {
 		t.Errorf("pruned %d versions, want 2", pruned)
 	}
@@ -254,5 +254,56 @@ func TestMutateMissingTuple(t *testing.T) {
 	h := NewHeap(0)
 	if err := h.Mutate(TID{Page: 0, Slot: 0}, func(Slot) error { return nil }); err != ErrNoSuchTuple {
 		t.Errorf("Mutate on empty heap: %v", err)
+	}
+}
+
+// TestVacuumReclaim: a slot whose head is prunable is emptied and reported
+// with no survivors; a cut chain reports its head and the removed versions
+// on a page marked by MarkKeysMoved only; a page where nothing changed since
+// the last vacuum is not visited.
+func TestVacuumReclaim(t *testing.T) {
+	h := NewHeap(4)
+	deleted := h.Insert(1, row(1))
+	updated := h.Insert(1, row(2))
+	h.Insert(1, row(3))
+	h.Insert(1, row(4))
+	unmarked := h.Insert(1, row(5)) // second page
+	h.Mutate(deleted, func(s Slot) error { return s.SetXMax(2) })
+	h.Mutate(updated, func(s Slot) error { s.Push(3, row(20)); s.MarkKeysMoved(); return nil })
+	h.Mutate(unmarked, func(s Slot) error { s.Push(3, row(50)); return nil })
+
+	type call struct {
+		tid        TID
+		live, dead int
+	}
+	var calls []call
+	visited := map[uint64]bool{}
+	dead := func(v *Version) bool {
+		visited[v.XMin] = true
+		return v.XMax != 0 && v.XMax <= 3
+	}
+	pruned := h.Vacuum(dead, func(tid TID, live, dead *Version) {
+		calls = append(calls, call{tid, chainLen(live), chainLen(dead)})
+	})
+	if pruned != 3 {
+		t.Errorf("pruned %d versions, want 3", pruned)
+	}
+	want := []call{{deleted, 0, 1}, {updated, 1, 1}}
+	if fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Errorf("reclaim calls %v, want %v", calls, want)
+	}
+	if err := h.View(deleted, func(*Version) {}); err != ErrNoSuchTuple {
+		t.Errorf("View of an emptied slot: %v, want ErrNoSuchTuple", err)
+	}
+	n := 0
+	h.Scan(func(TID, *Version) error { n++; return nil })
+	if n != 4 {
+		t.Errorf("Scan visits %d tuples after vacuum, want 4", n)
+	}
+
+	// Nothing changed since: no page has a chain, so no version is looked at.
+	visited = map[uint64]bool{}
+	if pruned := h.Vacuum(dead, nil); pruned != 0 || len(visited) != 0 {
+		t.Errorf("second vacuum pruned %d and inspected %v, want nothing", pruned, visited)
 	}
 }

@@ -67,10 +67,17 @@ func (lt *LockTable) Acquire(xid uint64, key LockKey, timeout time.Duration) err
 // the queue: a cancelled waiter held nothing, and the owner's release channel
 // still wakes every remaining waiter.
 func (lt *LockTable) AcquireContext(ctx context.Context, xid uint64, key LockKey, timeout time.Duration) error {
+	_, err := lt.acquire(ctx, xid, key, timeout)
+	return err
+}
+
+// acquire is AcquireContext that also reports whether the lock was newly
+// taken, as opposed to already held by xid.
+func (lt *LockTable) acquire(ctx context.Context, xid uint64, key LockKey, timeout time.Duration) (fresh bool, err error) {
 	var done <-chan struct{}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return context.Cause(ctx)
+			return false, context.Cause(ctx)
 		}
 		done = ctx.Done()
 	}
@@ -87,11 +94,11 @@ func (lt *LockTable) AcquireContext(ctx context.Context, xid uint64, key LockKey
 		if e == nil {
 			s.locks[key] = &lockEntry{owner: xid, released: make(chan struct{})}
 			s.mu.Unlock()
-			return nil
+			return true, nil
 		}
 		if e.owner == xid {
 			s.mu.Unlock()
-			return nil
+			return false, nil
 		}
 		ch := e.released
 		s.mu.Unlock()
@@ -102,9 +109,9 @@ func (lt *LockTable) AcquireContext(ctx context.Context, xid uint64, key LockKey
 		case <-ch:
 			// Owner released; loop and retry.
 		case <-timer.C:
-			return ErrLockTimeout
+			return false, ErrLockTimeout
 		case <-done:
-			return context.Cause(ctx)
+			return false, context.Cause(ctx)
 		}
 	}
 }
@@ -112,15 +119,22 @@ func (lt *LockTable) AcquireContext(ctx context.Context, xid uint64, key LockKey
 // TryAcquire obtains the lock only if it is free (or already ours),
 // reporting success.
 func (lt *LockTable) TryAcquire(xid uint64, key LockKey) bool {
+	ok, _ := lt.tryAcquire(xid, key)
+	return ok
+}
+
+// tryAcquire is TryAcquire that also reports whether the lock was newly
+// taken.
+func (lt *LockTable) tryAcquire(xid uint64, key LockKey) (ok, fresh bool) {
 	s := lt.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.locks[key]
 	if e == nil {
 		s.locks[key] = &lockEntry{owner: xid, released: make(chan struct{})}
-		return true
+		return true, true
 	}
-	return e.owner == xid
+	return e.owner == xid, false
 }
 
 // Release frees the lock if xid owns it, waking all waiters.
@@ -165,12 +179,12 @@ func (t *Txn) LockTimeout(key LockKey, timeout time.Duration) error {
 	if t.done {
 		return ErrTxnDone
 	}
-	if t.m.locks.TryAcquire(t.id, key) {
-		t.registerLock(key)
+	if ok, fresh := t.m.locks.tryAcquire(t.id, key); ok {
+		t.registerLock(key, fresh)
 		return nil
 	}
 	start := time.Now()
-	err := t.m.locks.AcquireContext(t.ctx, t.id, key, timeout)
+	fresh, err := t.m.locks.acquire(t.ctx, t.id, key, timeout)
 	d := time.Since(start)
 	t.m.metrics.LockWait.Observe(int64(d))
 	if sp := trace.FromContext(t.ctx); sp != nil {
@@ -182,7 +196,7 @@ func (t *Txn) LockTimeout(key LockKey, timeout time.Duration) error {
 		}
 		return err
 	}
-	t.registerLock(key)
+	t.registerLock(key, fresh)
 	return nil
 }
 
@@ -191,20 +205,22 @@ func (t *Txn) TryLock(key LockKey) bool {
 	if t.done {
 		return false
 	}
-	if !t.m.locks.TryAcquire(t.id, key) {
-		return false
+	ok, fresh := t.m.locks.tryAcquire(t.id, key)
+	if ok {
+		t.registerLock(key, fresh)
 	}
-	t.registerLock(key)
-	return true
+	return ok
 }
 
-func (t *Txn) registerLock(key LockKey) {
-	for _, k := range t.lockKeys {
-		if k == key {
-			return
-		}
+// registerLock records a lock for release at transaction end. Every lock a
+// transaction holds is taken through it, so a lock it already held (fresh
+// false) is already recorded: skipping it keeps registration constant-time
+// instead of a scan of every lock the transaction holds, which made a
+// transaction's cost quadratic in the rows it writes.
+func (t *Txn) registerLock(key LockKey, fresh bool) {
+	if fresh {
+		t.lockKeys = append(t.lockKeys, key)
 	}
-	t.lockKeys = append(t.lockKeys, key)
 }
 
 // Locks exposes the manager's lock table (used by the engine's unique-key

@@ -154,3 +154,33 @@ func TestTryLockRegistersForRelease(t *testing.T) {
 		t.Error("TryLock on finished txn should fail")
 	}
 }
+
+// TestRelockRegistersOnce: a transaction that locks the same keys again
+// records each lock once and releases every one at its end.
+func TestRelockRegistersOnce(t *testing.T) {
+	m := NewManager()
+	tx := m.Begin()
+	for round := 0; round < 3; round++ {
+		for i := uint64(0); i < 100; i++ {
+			if err := tx.Lock(LockKey{Space: 1, A: i}); err != nil {
+				t.Fatal(err)
+			}
+			if !tx.TryLock(LockKey{Space: 2, A: i}) {
+				t.Fatal("TryLock of a free key failed")
+			}
+		}
+	}
+	if len(tx.lockKeys) != 200 {
+		t.Errorf("registered %d locks, want 200", len(tx.lockKeys))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	other := m.Begin()
+	defer other.Abort()
+	for i := uint64(0); i < 100; i++ {
+		if !other.TryLock(LockKey{Space: 1, A: i}) || !other.TryLock(LockKey{Space: 2, A: i}) {
+			t.Fatalf("key %d still held after commit", i)
+		}
+	}
+}

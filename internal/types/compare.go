@@ -65,6 +65,16 @@ func cmpInt(a, b int64) int {
 // by the expression evaluator, not here.
 func Equal(a, b Datum) bool { return Compare(a, b) == 0 }
 
+// Identical reports whether two datums have the same kind and value, and so
+// the same key encoding: unlike Equal, 1 and 1.0 differ, as do 0.0 and -0.0,
+// while NaNs, which the key encoding normalizes, are identical.
+func Identical(a, b Datum) bool {
+	if a == b {
+		return true
+	}
+	return a.kind == KindFloat && b.kind == KindFloat && math.IsNaN(a.float()) && math.IsNaN(b.float())
+}
+
 var hashSeed = maphash.MakeSeed()
 
 // Hash returns a hash of the datum, consistent with Equal: datums that
@@ -80,7 +90,7 @@ func Hash(d Datum) uint64 {
 		h.WriteByte(1)
 		writeUint64(&h, uint64(d.i))
 	case KindFloat:
-		f := d.f
+		f := d.float()
 		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
 			h.WriteByte(1) // hash like the equal integer
 			writeUint64(&h, uint64(int64(f)))

@@ -5,6 +5,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -49,11 +50,13 @@ func (k Kind) String() string {
 // Datum is a single scalar value. It is a small value type (no pointers
 // except the string header) so rows can be copied cheaply and stored
 // compactly in heap pages.
+//
+// A float keeps its IEEE-754 bits in i, so a datum is 32 bytes: the kind
+// goes last, where it shares the final word's padding.
 type Datum struct {
-	kind Kind
-	i    int64 // int, bool (0/1), time (unix nanos)
-	f    float64
+	i    int64 // int, bool (0/1), time (unix nanos), float (math.Float64bits)
 	s    string
+	kind Kind
 }
 
 // Null is the SQL NULL datum.
@@ -63,7 +66,7 @@ var Null = Datum{kind: KindNull}
 func NewInt(v int64) Datum { return Datum{kind: KindInt, i: v} }
 
 // NewFloat returns a float datum.
-func NewFloat(v float64) Datum { return Datum{kind: KindFloat, f: v} }
+func NewFloat(v float64) Datum { return Datum{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a string datum.
 func NewString(v string) Datum { return Datum{kind: KindString, s: v} }
@@ -80,6 +83,9 @@ func NewBool(v bool) Datum {
 // NewTime returns a timestamp datum. The time is normalized to UTC with
 // nanosecond precision.
 func NewTime(t time.Time) Datum { return Datum{kind: KindTime, i: t.UTC().UnixNano()} }
+
+// float decodes a KindFloat datum's value from its stored bits.
+func (d Datum) float() float64 { return math.Float64frombits(uint64(d.i)) }
 
 // Kind reports the datum's kind.
 func (d Datum) Kind() Kind { return d.kind }
@@ -100,7 +106,7 @@ func (d Datum) Int() int64 {
 func (d Datum) Float() float64 {
 	switch d.kind {
 	case KindFloat:
-		return d.f
+		return d.float()
 	case KindInt:
 		return float64(d.i)
 	}
@@ -139,10 +145,11 @@ func (d Datum) String() string {
 	case KindInt:
 		return strconv.FormatInt(d.i, 10)
 	case KindFloat:
-		if d.f == 0 {
+		f := d.float()
+		if f == 0 {
 			return "0" // never "-0", which re-parses as an integer literal
 		}
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	case KindString:
 		// '' escaping keeps the printed literal re-parseable by the SQL lexer.
 		return "'" + strings.ReplaceAll(d.s, "'", "''") + "'"

@@ -13,7 +13,9 @@ import (
 // Compare of the rows. Index key columns always hold a single declared kind,
 // so this is exactly the contract B+tree and hash indexes need. The encoding
 // is unambiguous and round-trips exactly, so it doubles as the canonical
-// serialized row format for hash-table group keys and the WAL.
+// serialized row format for hash-table group keys. (Stored rows in the WAL
+// use the shorter, unordered value encoding in value.go; logs written before
+// it carry this one.)
 //
 // Layout per datum: a one-byte kind tag followed by a kind-specific payload.
 // NULL's tag is smallest so NULL sorts first, as in Compare.
@@ -46,7 +48,7 @@ func EncodeDatum(buf []byte, d Datum) []byte {
 		return appendOrderedInt(buf, d.i)
 	case KindFloat:
 		buf = append(buf, tagFloat)
-		return appendOrderedFloat(buf, d.f)
+		return appendOrderedFloat(buf, d.float())
 	case KindBool:
 		buf = append(buf, tagBool)
 		return append(buf, byte(d.i))
@@ -172,14 +174,25 @@ func DecodeDatum(buf []byte) (Datum, []byte, error) {
 
 // DecodeKey decodes all datums from buf.
 func DecodeKey(buf []byte) (Row, error) {
-	var row Row
+	return decodeRow(buf, DecodeDatum)
+}
+
+// decodeRow decodes datums until buf is empty. Rows of up to 32 columns are
+// gathered in a stack scratch array and copied out once at their exact size,
+// so a decode allocates one row instead of growing it by append.
+func decodeRow(buf []byte, next func([]byte) (Datum, []byte, error)) (Row, error) {
+	var scratch [32]Datum
+	row := scratch[:0]
 	for len(buf) > 0 {
-		d, rest, err := DecodeDatum(buf)
+		d, rest, err := next(buf)
 		if err != nil {
 			return nil, err
 		}
 		row = append(row, d)
 		buf = rest
 	}
-	return row, nil
+	if len(row) == 0 {
+		return nil, nil
+	}
+	return append(make(Row, 0, len(row)), row...), nil
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/bullfrogdb/bullfrog/internal/storage"
@@ -19,6 +20,9 @@ func fuzzSeedStream(tb testing.TB) []byte {
 		{Type: RecBegin, XID: 1},
 		{Type: RecInsert, XID: 1, Table: "t", TID: storage.TID{Page: 1, Slot: 2},
 			Row: []types.Datum{types.NewInt(7), types.NewString("x")}},
+		{Type: RecInsert, XID: 1, Table: "t", TID: storage.TID{Page: 3, Slot: 4},
+			Row: []types.Datum{types.NewInt(-1 << 40), types.NewFloat(-0.5), types.NewBool(true),
+				types.Null, types.NewString(strings.Repeat("y", 200))}},
 		{Type: RecUpdate, XID: 1, Table: "t", TID: storage.TID{Page: 1, Slot: 2},
 			Row: []types.Datum{types.NewInt(8)}},
 		{Type: RecDelete, XID: 1, Table: "t", TID: storage.TID{Page: 1, Slot: 2}},
@@ -38,6 +42,14 @@ func fuzzSeedStream(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// fuzzLegacySeed is a log of key-encoded row records, as written before the
+// value codec, so the fuzzer mutates the legacy decoder's input too.
+func fuzzLegacySeed() []byte {
+	row := types.Row{types.NewInt(7), types.NewString("x"), types.NewFloat(2.5), types.Null}
+	out := legacyRowFrame(Record{Type: RecInsert, XID: 1, Table: "t", TID: storage.TID{Page: 1, Slot: 2}, Row: row})
+	return append(out, legacyRowFrame(Record{Type: RecUpdate, XID: 1, Table: "t", TID: storage.TID{Page: 1, Slot: 2}, Row: row[:2]})...)
+}
+
 // FuzzWALReplay feeds arbitrary byte streams to Replay. Invariants:
 //   - Replay never panics and always terminates.
 //   - The error is exactly nil or ErrCorrupt (a torn tail is a clean stop).
@@ -47,6 +59,7 @@ func FuzzWALReplay(f *testing.F) {
 	valid := fuzzSeedStream(f)
 	f.Add(valid, 0)
 	f.Add(valid, len(valid)/2)
+	f.Add(fuzzLegacySeed(), 0)
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, 1)
 	f.Fuzz(func(t *testing.T, data []byte, cut int) {

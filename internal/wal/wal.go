@@ -43,6 +43,17 @@ const (
 	RecCheckpoint // a checkpoint completed; Key carries its CheckpointMeta
 )
 
+// Wire codes of insert and update records whose row is in the compact value
+// encoding (types.EncodeValues). The encoder writes only these for row
+// records; the decoder maps them back to RecInsert/RecUpdate. The codes
+// RecInsert and RecUpdate themselves still decode a row in the key encoding,
+// which is what logs and checkpoints written before the value codec hold, so
+// those replay unchanged.
+const (
+	wireInsertValues byte = 0x10
+	wireUpdateValues byte = 0x11
+)
+
 func (t RecType) String() string {
 	switch t {
 	case RecBegin:
@@ -527,7 +538,14 @@ func (w *Writer) Bytes() int64 {
 }
 
 func encodeRecord(buf []byte, rec Record) []byte {
-	buf = append(buf, byte(rec.Type))
+	switch rec.Type {
+	case RecInsert:
+		buf = append(buf, wireInsertValues)
+	case RecUpdate:
+		buf = append(buf, wireUpdateValues)
+	default:
+		buf = append(buf, byte(rec.Type))
+	}
 	buf = binary.AppendUvarint(buf, rec.XID)
 	switch rec.Type {
 	case RecBegin, RecCommit, RecAbort:
@@ -536,7 +554,7 @@ func encodeRecord(buf []byte, rec Record) []byte {
 		buf = appendString(buf, rec.Table)
 		buf = binary.AppendUvarint(buf, uint64(rec.TID.Page))
 		buf = binary.AppendUvarint(buf, uint64(rec.TID.Slot))
-		rowBytes := types.EncodeKey(nil, rec.Row)
+		rowBytes := types.EncodeValues(nil, rec.Row)
 		buf = binary.AppendUvarint(buf, uint64(len(rowBytes)))
 		return append(buf, rowBytes...)
 	case RecDelete:
@@ -614,6 +632,13 @@ func decodeRecord(buf []byte) (Record, error) {
 		return Record{}, ErrCorrupt
 	}
 	rec := Record{Type: RecType(buf[0])}
+	decodeRow := types.DecodeKey // legacy RecInsert/RecUpdate codes
+	switch buf[0] {
+	case wireInsertValues:
+		rec.Type, decodeRow = RecInsert, types.DecodeValues
+	case wireUpdateValues:
+		rec.Type, decodeRow = RecUpdate, types.DecodeValues
+	}
 	buf = buf[1:]
 	xid, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -659,7 +684,7 @@ func decodeRecord(buf []byte) (Record, error) {
 		if err != nil || uint64(len(buf)) < rowLen {
 			return Record{}, ErrCorrupt
 		}
-		row, err := types.DecodeKey(buf[:rowLen])
+		row, err := decodeRow(buf[:rowLen])
 		if err != nil {
 			// Checksum-valid but undecodable is still corruption: keep the
 			// reader's contract at exactly {nil, io.EOF, ErrCorrupt}.

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/bullfrogdb/bullfrog/internal/storage"
 	"github.com/bullfrogdb/bullfrog/internal/types"
@@ -90,6 +92,101 @@ func TestInstallRecordOldFormatDecodes(t *testing.T) {
 	}
 	if rec.Type != RecInstall || rec.Table != "legacy" || len(rec.Key) != 0 {
 		t.Errorf("decoded %+v, want bare install marker for \"legacy\"", rec)
+	}
+}
+
+// legacyRowFrame frames an insert or update record the way logs and
+// checkpoints were written before the value codec: the RecInsert/RecUpdate
+// code with the row in the order-preserving key encoding.
+func legacyRowFrame(rec Record) []byte {
+	payload := []byte{byte(rec.Type)}
+	payload = binary.AppendUvarint(payload, rec.XID)
+	payload = appendString(payload, rec.Table)
+	payload = binary.AppendUvarint(payload, uint64(rec.TID.Page))
+	payload = binary.AppendUvarint(payload, uint64(rec.TID.Slot))
+	row := types.EncodeKey(nil, rec.Row)
+	payload = binary.AppendUvarint(payload, uint64(len(row)))
+	payload = append(payload, row...)
+	var frame [8]byte
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	return append(frame[:], payload...)
+}
+
+// TestRowRecordsOldFormatReplay pins backward compatibility of row records:
+// a log mixing key-encoded rows (written before the value codec) with
+// value-encoded ones replays both to the same records, every datum kind
+// included.
+func TestRowRecordsOldFormatReplay(t *testing.T) {
+	row := types.Row{types.NewInt(-3), types.NewInt(1 << 40), types.NewFloat(-0.25),
+		types.NewString("a\x00b"), types.NewBool(true), types.Null,
+		types.NewTime(time.Date(2024, 5, 6, 7, 8, 9, 10, time.UTC)), types.NewString("")}
+	recs := []Record{
+		{Type: RecInsert, XID: 5, Table: "t", TID: storage.TID{Page: 1, Slot: 2}, Row: row},
+		{Type: RecUpdate, XID: 5, Table: "t", TID: storage.TID{Page: 1, Slot: 2}, Row: row[:3]},
+	}
+	var log bytes.Buffer
+	for _, rec := range recs {
+		log.Write(legacyRowFrame(rec))
+	}
+	w := NewWriter(&log)
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var got []Record
+	if err := Replay(&log, func(r Record) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2*len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(got), 2*len(recs))
+	}
+	for i, g := range got {
+		want := recs[i%len(recs)]
+		if g.Type != want.Type || g.XID != want.XID || g.Table != want.Table || g.TID != want.TID {
+			t.Errorf("record %d: got %+v, want %+v", i, g, want)
+		}
+		if len(g.Row) != len(want.Row) {
+			t.Fatalf("record %d row width %d, want %d", i, len(g.Row), len(want.Row))
+		}
+		for j := range want.Row {
+			if g.Row[j].Kind() != want.Row[j].Kind() || types.Compare(g.Row[j], want.Row[j]) != 0 {
+				t.Errorf("record %d row[%d] = %v, want %v", i, j, g.Row[j], want.Row[j])
+			}
+		}
+	}
+}
+
+// TestValueRowsAreSmaller pins the point of the value codec: a TPC-C-like
+// row of small integers and short strings costs fewer bytes than in the key
+// encoding, and a row over 127 bytes (two-byte length prefix) round-trips.
+func TestValueRowsAreSmaller(t *testing.T) {
+	row := types.Row{types.NewInt(1), types.NewInt(7), types.NewInt(3001), types.NewString("BARBARBAR"), types.NewFloat(12.5)}
+	rec := Record{Type: RecInsert, XID: 9, Table: "order_line", Row: row}
+	compact := len(encodeRecord(nil, rec))
+	legacy := len(legacyRowFrame(rec)) - 8
+	if compact >= legacy*3/4 {
+		t.Errorf("value-encoded record is %d bytes, key-encoded %d: want at least a quarter smaller", compact, legacy)
+	}
+	long := Record{Type: RecUpdate, XID: 9, Table: "t", Row: types.Row{types.NewString(strings.Repeat("x", 300)), types.NewInt(5)}}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.Append(long); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewReader(&buf).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Type != RecUpdate || len(got.Row) != 2 || got.Row[0].Str() != long.Row[0].Str() || got.Row[1].Int() != 5 {
+		t.Errorf("long row decoded as %+v", got)
 	}
 }
 
