@@ -21,8 +21,9 @@ import (
 // schemas"). When the copier catches up, the system switches over.
 //
 // The write-propagation protocol avoids the lost-update race: the copier
-// claims a granule/group (in-progress) before it begins reading, and a
-// writer checks the tracker state only after its old-schema commit. If the
+// claims a granule/group (in-progress) before it takes the snapshot it
+// reads with (Txn.Resnapshot after the claim loop), and a writer checks the
+// tracker state only after its old-schema commit. If the
 // state is still not-started, any later copy begins after the commit and
 // sees it; if in-progress or copied, the writer waits (if needed) and then
 // recomputes the affected output rows from current old-schema state.
@@ -259,6 +260,11 @@ func (ms *MultiStep) recomputeGranule(rt *StmtRuntime, g int64) error {
 	if err := tx.Lock(txn.LockKey{Space: ^uint64(0), A: rt.drivingTbl.ID, B: uint64(g)}); err != nil {
 		return err
 	}
+	// Read after the lock, so a recompute that committed while this one
+	// waited is seen.
+	if err := tx.Resnapshot(); err != nil {
+		return err
+	}
 	rows, err := rt.fetchGranuleRows(tx, []int64{g})
 	if err != nil {
 		return err
@@ -286,6 +292,11 @@ func (ms *MultiStep) recomputeGroup(rt *StmtRuntime, key []byte) error {
 		return err
 	}
 	if err := tx.Lock(txn.LockKey{Space: ^uint64(0) - 1, A: rt.drivingTbl.ID, B: hashKey(key)}); err != nil {
+		return err
+	}
+	// Read after the lock, so a recompute that committed while this one
+	// waited is seen.
+	if err := tx.Resnapshot(); err != nil {
 		return err
 	}
 	// Delete outputs identified by the group key, then re-derive the group.

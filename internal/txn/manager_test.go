@@ -7,6 +7,7 @@ import (
 
 	"github.com/bullfrogdb/bullfrog/internal/storage"
 	"github.com/bullfrogdb/bullfrog/internal/types"
+	"github.com/bullfrogdb/bullfrog/internal/wal"
 )
 
 func row(v int64) types.Row { return types.Row{types.NewInt(v)} }
@@ -340,5 +341,45 @@ func TestSnapshotIsolationInvariant(t *testing.T) {
 	case err := <-readerErr:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// A migration pass scans, claims, then reads: after Resnapshot the read must
+// see a commit that landed between Begin and the claim.
+func TestResnapshotSeesEarlierCommits(t *testing.T) {
+	m := NewManager()
+	h := storage.NewHeap(0)
+
+	r := m.Begin()
+	w := m.Begin()
+	tid := h.Insert(w.ID(), row(5))
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	visible := func() bool {
+		var ok bool
+		h.View(tid, func(v *storage.Version) { _, ok = r.VisibleRow(v) })
+		return ok
+	}
+	if visible() {
+		t.Fatal("commit after Begin visible before Resnapshot")
+	}
+	if err := r.Resnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if !visible() {
+		t.Error("commit before Resnapshot not visible")
+	}
+	if got, want := m.OldestActiveSnapshot(), m.CurrentSeq(); got != want {
+		t.Errorf("vacuum horizon = %d, want %d", got, want)
+	}
+
+	r.AppendRedo(wal.Record{Type: wal.RecInsert})
+	if err := r.Resnapshot(); err == nil {
+		t.Error("Resnapshot after a write succeeded")
+	}
+	r.Abort()
+	if err := r.Resnapshot(); !errors.Is(err, ErrTxnDone) {
+		t.Errorf("Resnapshot on a finished txn: %v", err)
 	}
 }
