@@ -40,6 +40,7 @@ race:
 # and the nightly workflow (.github/workflows/nightly.yml) runs each for minutes.
 fuzz:
 	$(GO) test -fuzz FuzzSQLParse -fuzztime 10s ./internal/sql
+	$(GO) test -fuzz FuzzStatementTemplate -fuzztime 10s ./internal/sql
 	$(GO) test -fuzz FuzzKeyEncodeOrder -fuzztime 10s ./internal/types
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 	$(GO) test -fuzz FuzzSchemaDiff -fuzztime 10s ./internal/schemaver

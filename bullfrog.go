@@ -282,7 +282,7 @@ func (db *DB) ExecContext(ctx context.Context, src string) (*Result, error) {
 	if sp != nil {
 		parseStart = time.Now()
 	}
-	stmts, err := sql.Parse(src)
+	stmts, err := db.eng.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +324,7 @@ func (db *DB) QueryContext(ctx context.Context, src string) (*Result, error) {
 // truly-exclusive operations — the eager baseline's swap and the multi-step
 // Switch; BullFrog's lazy migration start no longer drains the gate, it
 // installs a catalog version at a commit barrier).
-func (db *DB) execStmtGated(ctx context.Context, s sql.Statement) (*Result, error) {
+func (db *DB) execStmtGated(ctx context.Context, s engine.Stmt) (*Result, error) {
 	var sp *trace.Span
 	var gateStart time.Time
 	if db.tracer != nil {
@@ -345,7 +345,7 @@ func (db *DB) execStmtGated(ctx context.Context, s sql.Statement) (*Result, erro
 	return db.execStmt(ctx, s)
 }
 
-func (db *DB) execStmt(ctx context.Context, s sql.Statement) (*Result, error) {
+func (db *DB) execStmt(ctx context.Context, s engine.Stmt) (*Result, error) {
 	// Optimistic interception: the retired checks and migration scoping run
 	// against the catalog version current at intercept time, then the
 	// transaction begins. If a migration installed a newer version in
@@ -362,14 +362,14 @@ func (db *DB) execStmt(ctx context.Context, s sql.Statement) (*Result, error) {
 		}
 		tx := db.eng.Begin()
 		// Pin ctx (and its span) as the transaction's statement context for
-		// the whole statement, not just the ExecStmtContext window: Commit
+		// the whole statement, not just the ExecPreparedContext window: Commit
 		// runs after that window closes and still reads the span through it.
 		tx.SetContext(ctx)
 		if db.eng.CatalogAt(tx.Snapshot().Seq) != ver {
 			_ = db.eng.Abort(tx)
 			continue
 		}
-		res, err := db.eng.ExecStmtContext(ctx, tx, s)
+		res, err := db.eng.ExecPreparedContext(ctx, tx, s)
 		if err != nil {
 			// The statement error is the caller's failure; the rollback drops
 			// the transaction's buffered redo without touching the log.
@@ -402,31 +402,33 @@ func retryWrap(attempt int, err error) error {
 // the original request runs on the new schema. INSERT needs no prior
 // migration here; constraint checks widen the scope via the engine hook.
 // All schema decisions (retired marks, view expansion) read ver, the catalog
-// version the caller's snapshot pins, never the moving head.
-func (db *DB) interceptStmt(ctx context.Context, ver *catalog.Version, s sql.Statement) error {
-	switch t := s.(type) {
+// version the caller's snapshot pins, never the moving head. A statement
+// template's literals (s.Args) bind into a WHERE only when a migration needs
+// it, so transposition sees what the plain parse of the text would give.
+func (db *DB) interceptStmt(ctx context.Context, ver *catalog.Version, s engine.Stmt) error {
+	switch t := s.AST.(type) {
 	case *sql.SelectStmt:
-		return db.interceptSelect(ctx, ver, t)
+		return db.interceptSelect(ctx, ver, t, s.Args)
 	case *sql.UpdateStmt:
 		if err := db.checkRetired(ver, t.Table); err != nil {
 			return err
 		}
-		return db.ctrl.EnsureForTableContext(ctx, t.Table, t.Alias, t.Where)
+		return db.ctrl.EnsureForTableContext(ctx, t.Table, t.Alias, t.Where, s.Args)
 	case *sql.DeleteStmt:
 		if err := db.checkRetired(ver, t.Table); err != nil {
 			return err
 		}
-		return db.ctrl.EnsureForTableContext(ctx, t.Table, t.Alias, t.Where)
+		return db.ctrl.EnsureForTableContext(ctx, t.Table, t.Alias, t.Where, s.Args)
 	case *sql.InsertStmt:
 		if err := db.checkRetired(ver, t.Table); err != nil {
 			return err
 		}
 		if t.Select != nil {
-			return db.interceptSelect(ctx, ver, t.Select)
+			return db.interceptSelect(ctx, ver, t.Select, s.Args)
 		}
 		return nil
 	case *sql.ExplainStmt:
-		return db.interceptStmt(ctx, ver, t.Inner)
+		return db.interceptStmt(ctx, ver, engine.Plain(t.Inner))
 	default:
 		return nil
 	}
@@ -444,10 +446,10 @@ func (db *DB) checkRetired(ver *catalog.Version, table string) error {
 	return nil
 }
 
-func (db *DB) interceptSelect(ctx context.Context, ver *catalog.Version, s *sql.SelectStmt) error {
+func (db *DB) interceptSelect(ctx context.Context, ver *catalog.Version, s *sql.SelectStmt, args []types.Datum) error {
 	for _, ref := range s.From {
 		if ref.Subquery != nil {
-			if err := db.interceptSelect(ctx, ver, ref.Subquery); err != nil {
+			if err := db.interceptSelect(ctx, ver, ref.Subquery, args); err != nil {
 				return err
 			}
 			continue
@@ -462,14 +464,14 @@ func (db *DB) interceptSelect(ctx context.Context, ver *catalog.Version, s *sql.
 		if ver.HasView(ref.Name) {
 			if v, err := ver.View(ref.Name); err == nil {
 				if def, ok := v.Def.(*sql.SelectStmt); ok {
-					if err := db.interceptSelect(ctx, ver, def); err != nil {
+					if err := db.interceptSelect(ctx, ver, def, nil); err != nil {
 						return err
 					}
 				}
 			}
 			continue
 		}
-		if err := db.ctrl.EnsureForTableContext(ctx, ref.Name, ref.Alias, s.Where); err != nil {
+		if err := db.ctrl.EnsureForTableContext(ctx, ref.Name, ref.Alias, s.Where, args); err != nil {
 			return err
 		}
 	}
@@ -503,7 +505,7 @@ func (t *Txn) Exec(src string) (*Result, error) {
 // ctx waits without cancellation bound. The transaction itself stays open
 // either way — the caller decides whether to retry, Commit, or Abort.
 func (t *Txn) ExecContext(ctx context.Context, src string) (*Result, error) {
-	stmts, err := sql.Parse(src)
+	stmts, err := t.db.eng.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +518,7 @@ func (t *Txn) ExecContext(ctx context.Context, src string) (*Result, error) {
 		if err := t.db.interceptStmt(ctx, ver, s); err != nil {
 			return nil, wrapErr("exec", "", err)
 		}
-		res, err := t.db.eng.ExecStmtContext(ctx, t.inner, s)
+		res, err := t.db.eng.ExecPreparedContext(ctx, t.inner, s)
 		if err != nil {
 			return nil, wrapErr("exec", "", err)
 		}

@@ -845,17 +845,21 @@ func (c *Controller) obsMig() *obs.MigrationMetrics { return c.db.Obs().Migratio
 // table's full scope for safety (superset semantics, paper §2.4). alias is
 // the request's binding name for the table ("" = the table name).
 func (c *Controller) EnsureForTable(table, alias string, where expr.Expr) error {
-	return c.EnsureForTableContext(nil, table, alias, where)
+	return c.EnsureForTableContext(nil, table, alias, where, nil)
 }
 
 // EnsureForTableContext is EnsureForTable bounded by the statement's context:
 // the busy-granule backoff loop and the migration transactions' lock waits
-// stop when ctx is done. A nil ctx waits without cancellation bound.
-func (c *Controller) EnsureForTableContext(ctx context.Context, table, alias string, where expr.Expr) error {
+// stop when ctx is done. A nil ctx waits without cancellation bound. args
+// holds the literal values of a statement template whose where has Params
+// (nil for a plain statement); they are bound only once a migration is
+// known to need the predicate.
+func (c *Controller) EnsureForTableContext(ctx context.Context, table, alias string, where expr.Expr, args []types.Datum) error {
 	rt := c.RuntimeFor(table)
 	if rt == nil || rt.complete.Load() {
 		return nil
 	}
+	where = expr.BindParams(where, args)
 	tbl, err := c.db.Catalog().Table(table)
 	if err != nil {
 		return nil // engine will surface the real error

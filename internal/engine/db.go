@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bullfrogdb/bullfrog/internal/catalog"
@@ -59,9 +60,13 @@ type DB struct {
 	opts    Options
 	log     wal.Logger
 	logging bool // false when the WAL is Nop: skip redo buffering entirely
-	hook    MigrationHook
-	met     *obs.Set
-	plans   *planCache
+	// hook is the migration hook (SetMigrationHook), swapped while
+	// statements run: load it once per use.
+	hook  atomic.Pointer[MigrationHook]
+	met   *obs.Set
+	plans *planCache
+	// templates maps statement shapes to their parsed templates (Prepare).
+	templates *templateCache
 	// tracing enables span phase attribution on the statement path. When
 	// false (the default) no trace context lookups happen at all, so the
 	// disabled-tracer cost is one bool check per site.
@@ -107,7 +112,7 @@ func New(opts Options) *DB {
 	cat := catalog.New()
 	cat.SetObs(set.Catalog)
 	_, nop := log.(wal.Nop)
-	return &DB{cat: cat, tm: tm, opts: opts, log: log, logging: !nop, met: set, plans: newPlanCache()}
+	return &DB{cat: cat, tm: tm, opts: opts, log: log, logging: !nop, met: set, plans: newPlanCache(), templates: newTemplateCache()}
 }
 
 // Obs returns the database's metrics set. Never nil; every sub-struct is
@@ -204,7 +209,21 @@ func (db *DB) WAL() wal.Logger { return db.log }
 
 // SetMigrationHook installs the BullFrog controller's hook. Passing nil
 // removes it.
-func (db *DB) SetMigrationHook(h MigrationHook) { db.hook = h }
+func (db *DB) SetMigrationHook(h MigrationHook) {
+	if h == nil {
+		db.hook.Store(nil)
+		return
+	}
+	db.hook.Store(&h)
+}
+
+// migrationHook returns the installed migration hook, or nil.
+func (db *DB) migrationHook() MigrationHook {
+	if h := db.hook.Load(); h != nil {
+		return *h
+	}
+	return nil
+}
 
 // Begin starts a transaction.
 func (db *DB) Begin() *txn.Txn { return db.tm.Begin() }
@@ -323,7 +342,7 @@ type Result struct {
 // Exec parses and executes one or more statements, each in its own
 // transaction. The result of the last statement is returned.
 func (db *DB) Exec(src string) (*Result, error) {
-	stmts, err := sql.Parse(src)
+	stmts, err := db.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +352,7 @@ func (db *DB) Exec(src string) (*Result, error) {
 	var last *Result
 	for _, s := range stmts {
 		tx := db.Begin()
-		res, err := db.ExecStmt(tx, s)
+		res, err := db.ExecPrepared(tx, s)
 		if err != nil {
 			_ = db.Abort(tx)
 			return nil, err
@@ -348,13 +367,13 @@ func (db *DB) Exec(src string) (*Result, error) {
 
 // ExecTx parses and executes statements inside the caller's transaction.
 func (db *DB) ExecTx(tx *txn.Txn, src string) (*Result, error) {
-	stmts, err := sql.Parse(src)
+	stmts, err := db.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
 	var last *Result = &Result{}
 	for _, s := range stmts {
-		res, err := db.ExecStmt(tx, s)
+		res, err := db.ExecPrepared(tx, s)
 		if err != nil {
 			return nil, err
 		}
@@ -363,28 +382,35 @@ func (db *DB) ExecTx(tx *txn.Txn, src string) (*Result, error) {
 	return last, nil
 }
 
-// ExecStmtContext executes a parsed statement inside the transaction with
-// ctx bounding the statement's blocking waits: for the duration of the call
-// the transaction's statement context (txn.Txn.SetContext) is ctx, so a
-// cancelled statement stops waiting in the lock queue immediately and
-// returns the context's cause. A nil ctx behaves like ExecStmt.
-func (db *DB) ExecStmtContext(ctx context.Context, tx *txn.Txn, stmt sql.Statement) (*Result, error) {
+// ExecPreparedContext executes a prepared statement (Prepare) inside the
+// transaction with ctx bounding the statement's blocking waits: for the
+// duration of the call the transaction's statement context
+// (txn.Txn.SetContext) is ctx, so a cancelled statement stops waiting in the
+// lock queue immediately and returns the context's cause. A nil ctx behaves
+// like ExecPrepared.
+func (db *DB) ExecPreparedContext(ctx context.Context, tx *txn.Txn, st Stmt) (*Result, error) {
 	prev := tx.SetContext(ctx)
 	defer tx.SetContext(prev)
-	return db.ExecStmt(tx, stmt)
+	return db.ExecPrepared(tx, st)
 }
 
-// ExecStmt executes a parsed statement inside the transaction, recording
-// per-kind execution latency (failed statements included).
+// ExecStmt executes a parsed statement inside the transaction.
 func (db *DB) ExecStmt(tx *txn.Txn, stmt sql.Statement) (*Result, error) {
+	return db.ExecPrepared(tx, Plain(stmt))
+}
+
+// ExecPrepared executes a prepared statement (Prepare) inside the
+// transaction, recording per-kind execution latency (failed statements
+// included).
+func (db *DB) ExecPrepared(tx *txn.Txn, st Stmt) (*Result, error) {
 	start := time.Now()
-	kind := stmtKind(stmt)
+	kind := stmtKind(st.AST)
 	// The exec phase is a remainder: elapsed minus the nested phases that
 	// execStmt attributes itself (planning, lock waits, lazy migration), so
 	// phase timings on a finished span sum to its wall time.
 	sp := db.spanOf(tx)
 	nestedBefore := nestedExecPhases(sp)
-	res, err := db.execStmt(tx, stmt)
+	res, err := db.execStmt(tx, st)
 	db.met.Engine.Exec[kind].ObserveSince(start)
 	if sp != nil {
 		sp.Add(trace.PhaseExec, time.Since(start)-(nestedExecPhases(sp)-nestedBefore))
@@ -419,8 +445,19 @@ func stmtKind(stmt sql.Statement) obs.StmtKind {
 	}
 }
 
-func (db *DB) execStmt(tx *txn.Txn, stmt sql.Statement) (*Result, error) {
-	switch s := stmt.(type) {
+func (db *DB) execStmt(tx *txn.Txn, st Stmt) (*Result, error) {
+	if st.src != "" {
+		res, err := db.execTemplate(tx, st)
+		if !errors.Is(err, errTemplateFallback) {
+			return res, err
+		}
+		plain, err := sql.ParseOne(st.src)
+		if err != nil {
+			return nil, err
+		}
+		st = Plain(plain)
+	}
+	switch s := st.AST.(type) {
 	case *sql.SelectStmt:
 		return db.execSelect(tx, s)
 	case *sql.CreateTableStmt:
@@ -454,16 +491,16 @@ func (db *DB) execStmt(tx *txn.Txn, stmt sql.Statement) (*Result, error) {
 		return db.execAlterAddFK(s)
 	case *sql.AlterDropConstraintStmt:
 		return db.execAlterDropConstraint(s)
-	case *sql.InsertStmt:
-		return db.execInsert(tx, s)
-	case *sql.UpdateStmt:
-		return db.execUpdate(tx, s)
-	case *sql.DeleteStmt:
-		return db.execDelete(tx, s)
+	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		wp, err := db.buildWritePlan(db.catForTxn(tx), s)
+		if err != nil {
+			return nil, err
+		}
+		return wp.run(db, tx, nil)
 	case *sql.ExplainStmt:
 		return db.execExplain(tx, s)
 	default:
-		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+		return nil, fmt.Errorf("engine: unsupported statement %T", st.AST)
 	}
 }
 
@@ -475,29 +512,24 @@ func nestedExecPhases(sp *trace.Span) time.Duration {
 		sp.PhaseTotal(trace.PhaseLazyMigrate)
 }
 
+// execSelect plans a plain SELECT against the transaction's catalog version
+// and runs it. The plan is not cached: statement text reaches here only when
+// its shape has no template.
 func (db *DB) execSelect(tx *txn.Txn, s *sql.SelectStmt) (*Result, error) {
 	planStart := time.Now()
-	p, err := db.PlanSelectAt(db.catForTxn(tx), s)
+	p, err := db.buildSelectPlan(db.catForTxn(tx), s, "", nil)
 	if sp := db.spanOf(tx); sp != nil {
 		sp.AddSince(trace.PhasePlan, planStart)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: p.ColumnNames()}
-	err = p.Execute(tx, func(row types.Row) error {
-		res.Rows = append(res.Rows, row.Clone())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return p.result(tx, nil)
 }
 
 func (db *DB) execCreateView(s *sql.CreateViewStmt) (*Result, error) {
 	// Plan once to validate and derive output column names.
-	p, err := db.PlanSelect(s.Select)
+	p, err := db.buildSelectPlan(db.cat.Head(), s.Select, "", nil)
 	if err != nil {
 		return nil, fmt.Errorf("engine: invalid view %q: %w", s.Name, err)
 	}
@@ -608,7 +640,7 @@ func (db *DB) addIndexFor(tbl *catalog.Table, name string, cols []int, unique bo
 // from the select's output, create the table, and bulk-insert the results.
 // This is the physical operation behind eager migration.
 func (db *DB) execCreateTableAs(tx *txn.Txn, s *sql.CreateTableStmt) (*Result, error) {
-	p, err := db.PlanSelect(s.AsSelect)
+	p, err := db.buildSelectPlan(db.cat.Head(), s.AsSelect, "", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/bullfrogdb/bullfrog/internal/catalog"
 	"github.com/bullfrogdb/bullfrog/internal/expr"
 	"github.com/bullfrogdb/bullfrog/internal/index"
+	"github.com/bullfrogdb/bullfrog/internal/obs"
 	"github.com/bullfrogdb/bullfrog/internal/sql"
 	"github.com/bullfrogdb/bullfrog/internal/storage"
 	"github.com/bullfrogdb/bullfrog/internal/txn"
@@ -63,6 +64,7 @@ func (db *DB) InsertRow(tx *txn.Txn, tbl *catalog.Table, row types.Row, conflict
 		return storage.TID{}, false, err
 	}
 	// Unique arbitration: hook (lazy migration), then key lock, then probe.
+	hook := db.migrationHook()
 	uniqueIdxs := tbl.UniqueIndexes()
 	for _, idx := range uniqueIdxs {
 		def := idx.Def()
@@ -70,8 +72,8 @@ func (db *DB) InsertRow(tx *txn.Txn, tbl *catalog.Table, row types.Row, conflict
 		if keyRow == nil {
 			continue // a NULL component exempts the row from uniqueness
 		}
-		if db.hook != nil {
-			if err := db.hook.BeforeKeyCheck(tx, tbl.Def.Name, def.Columns, keyRow); err != nil {
+		if hook != nil {
+			if err := hook.BeforeKeyCheck(tx, tbl.Def.Name, def.Columns, keyRow); err != nil {
 				return storage.TID{}, false, err
 			}
 		}
@@ -175,6 +177,7 @@ func (db *DB) checkChecks(tbl *catalog.Table, row types.Row) error {
 // references an existing parent row. When oldRow is non-nil (an update), FKs
 // whose columns are unchanged are skipped.
 func (db *DB) checkForeignKeys(tx *txn.Txn, tbl *catalog.Table, row, oldRow types.Row) error {
+	hook := db.migrationHook()
 	for _, fk := range tbl.Def.ForeignKey {
 		keyRow := make(types.Row, len(fk.Columns))
 		allSet := true
@@ -196,8 +199,8 @@ func (db *DB) checkForeignKeys(tx *txn.Txn, tbl *catalog.Table, row, oldRow type
 		if err != nil {
 			return fmt.Errorf("engine: foreign key: %w", err)
 		}
-		if db.hook != nil {
-			if err := db.hook.BeforeKeyCheck(tx, fk.RefTable, fk.RefColumns, keyRow); err != nil {
+		if hook != nil {
+			if err := hook.BeforeKeyCheck(tx, fk.RefTable, fk.RefColumns, keyRow); err != nil {
 				return err
 			}
 		}
@@ -293,6 +296,7 @@ func (db *DB) UpdateRow(tx *txn.Txn, tbl *catalog.Table, tid storage.TID, newRow
 		return err
 	}
 	// Unique checks only for keys that changed.
+	hook := db.migrationHook()
 	for _, idx := range tbl.UniqueIndexes() {
 		def := idx.Def()
 		newKeyRow := indexKeyRow(def, newRow)
@@ -304,8 +308,8 @@ func (db *DB) UpdateRow(tx *txn.Txn, tbl *catalog.Table, tid storage.TID, newRow
 		if oldKeyRow != nil && string(types.EncodeKey(nil, oldKeyRow)) == string(newKey) {
 			continue
 		}
-		if db.hook != nil {
-			if err := db.hook.BeforeKeyCheck(tx, tbl.Def.Name, def.Columns, newKeyRow); err != nil {
+		if hook != nil {
+			if err := hook.BeforeKeyCheck(tx, tbl.Def.Name, def.Columns, newKeyRow); err != nil {
 				return err
 			}
 		}
@@ -354,7 +358,7 @@ func (db *DB) UpdateRow(tx *txn.Txn, tbl *catalog.Table, tid storage.TID, newRow
 	}
 	// Buffer redo only after the mutate succeeds so a failed statement in a
 	// transaction that later commits cannot replay a phantom update.
-	db.LogRedo(tx, wal.Record{Type: wal.RecUpdate, Table: tbl.Def.Name, TID: tid, Row: newRow})
+	db.LogRedo(tx, updateRecord(tbl, tid, oldRow, newRow))
 	// Insert after the push: a vacuum that unposts a removed key re-checks
 	// the chain afterwards, and so sees any version that got the key back.
 	for _, a := range added {
@@ -373,6 +377,29 @@ func (db *DB) UpdateRow(tx *txn.Txn, tbl *catalog.Table, tid storage.TID, newRow
 		}
 	})
 	return nil
+}
+
+// updateRecord is the redo record of an update: a delta of the changed
+// columns, or the full new image when every column changed. The delta is
+// relative to oldRow, which replay finds as the tuple's head: the row lock
+// held to commit orders every update of a tuple in the log.
+func updateRecord(tbl *catalog.Table, tid storage.TID, oldRow, newRow types.Row) wal.Record {
+	rec := wal.Record{Type: wal.RecUpdate, Table: tbl.Def.Name, TID: tid, Row: newRow}
+	cols := make([]int, 0, len(newRow))
+	for i := range newRow {
+		if !types.Identical(oldRow[i], newRow[i]) {
+			cols = append(cols, i)
+		}
+	}
+	if len(cols) == len(newRow) {
+		return rec
+	}
+	rec.Cols = cols
+	rec.Row = make(types.Row, len(cols))
+	for i, ord := range cols {
+		rec.Row[i] = newRow[ord]
+	}
+	return rec
 }
 
 // DeleteRow marks the tuple at tid deleted. FK restrict semantics are
@@ -447,16 +474,58 @@ func (db *DB) DeleteRow(tx *txn.Txn, tbl *catalog.Table, tid storage.TID) error 
 
 // --- SQL-level DML ---
 
-func (db *DB) execInsert(tx *txn.Txn, s *sql.InsertStmt) (*Result, error) {
-	tbl, err := db.catForTxn(tx).Table(s.Table)
+// writePlan is a compiled INSERT, UPDATE or DELETE: the target table, the
+// scan its WHERE compiles to (with the chosen index), the SET expressions
+// bound to the table row, or the INSERT column map with its VALUES rows or
+// SELECT plan. Expressions may hold a template's Params, bound per execution
+// (run), so one plan serves every execution of a statement template.
+type writePlan struct {
+	kind obs.StmtKind
+	tbl  *catalog.Table
+	// UPDATE and DELETE
+	scan     *scanNode
+	setOrds  []int
+	setExprs []expr.Expr
+	// INSERT
+	colOrds  []int
+	values   [][]expr.Expr
+	sel      *Plan
+	conflict sql.ConflictAction
+}
+
+// buildWritePlan compiles an INSERT, UPDATE or DELETE against a catalog
+// version.
+func (db *DB) buildWritePlan(v *catalog.Version, stmt sql.Statement) (*writePlan, error) {
+	var wp *writePlan
+	var err error
+	switch s := stmt.(type) {
+	case *sql.InsertStmt:
+		wp, err = db.buildInsertPlan(v, s)
+	case *sql.UpdateStmt:
+		wp, err = buildUpdatePlan(v, s)
+	case *sql.DeleteStmt:
+		wp, err = buildDeletePlan(v, s)
+	default:
+		err = fmt.Errorf("engine: unsupported statement %T", stmt)
+	}
 	if err != nil {
 		return nil, err
 	}
+	db.met.Engine.PlansBuilt.Inc()
+	return wp, nil
+}
+
+func (db *DB) buildInsertPlan(v *catalog.Version, s *sql.InsertStmt) (*writePlan, error) {
+	tbl, err := v.Table(s.Table)
+	if err != nil {
+		return nil, err
+	}
+	wp := &writePlan{kind: obs.StmtInsert, tbl: tbl, values: s.Values, conflict: s.OnConflict}
 	// Map the provided column list to table ordinals.
-	colOrds := make([]int, 0, len(tbl.Def.Columns))
+	wp.colOrds = make([]int, 0, len(tbl.Def.Columns))
 	if len(s.Columns) == 0 {
 		for i := range tbl.Def.Columns {
-			colOrds = append(colOrds, i)
+			wp.colOrds = append(wp.colOrds, i)
 		}
 	} else {
 		for _, name := range s.Columns {
@@ -464,16 +533,122 @@ func (db *DB) execInsert(tx *txn.Txn, s *sql.InsertStmt) (*Result, error) {
 			if ord < 0 {
 				return nil, fmt.Errorf("engine: column %q does not exist in %q", name, s.Table)
 			}
-			colOrds = append(colOrds, ord)
+			wp.colOrds = append(wp.colOrds, ord)
 		}
 	}
+	if s.Select != nil {
+		b := &planBuilder{db: db, cat: v}
+		root, err := b.buildSelect(s.Select)
+		if err != nil {
+			return nil, err
+		}
+		wp.sel = &Plan{db: db, root: root}
+	}
+	return wp, nil
+}
+
+func buildUpdatePlan(v *catalog.Version, s *sql.UpdateStmt) (*writePlan, error) {
+	tbl, err := v.Table(s.Table)
+	if err != nil {
+		return nil, err
+	}
+	alias := s.Alias
+	if alias == "" {
+		alias = s.Table
+	}
+	scope := tbl.Def.Scope(normalizeName(alias))
+	// Bind SET expressions against the table row.
+	wp := &writePlan{kind: obs.StmtUpdate, tbl: tbl,
+		setOrds: make([]int, len(s.Set)), setExprs: make([]expr.Expr, len(s.Set))}
+	for i, a := range s.Set {
+		ord := tbl.Def.ColumnIndex(a.Column)
+		if ord < 0 {
+			return nil, fmt.Errorf("engine: column %q does not exist in %q", a.Column, s.Table)
+		}
+		wp.setOrds[i] = ord
+		bound, err := expr.Bind(a.Value, scope)
+		if err != nil {
+			return nil, err
+		}
+		wp.setExprs[i] = bound
+	}
+	if wp.scan, err = writeScan(tbl, alias, s.Where); err != nil {
+		return nil, err
+	}
+	return wp, nil
+}
+
+func buildDeletePlan(v *catalog.Version, s *sql.DeleteStmt) (*writePlan, error) {
+	tbl, err := v.Table(s.Table)
+	if err != nil {
+		return nil, err
+	}
+	alias := s.Alias
+	if alias == "" {
+		alias = s.Table
+	}
+	wp := &writePlan{kind: obs.StmtDelete, tbl: tbl}
+	if wp.scan, err = writeScan(tbl, alias, s.Where); err != nil {
+		return nil, err
+	}
+	return wp, nil
+}
+
+// run executes the plan in tx with a template's literal values (nil for a
+// plain statement).
+func (wp *writePlan) run(db *DB, tx *txn.Txn, args []types.Datum) (*Result, error) {
+	switch wp.kind {
+	case obs.StmtInsert:
+		return wp.runInsert(db, tx, args)
+	case obs.StmtUpdate:
+		tids, rows, err := wp.scan.bind(args).collect(db, tx)
+		if err != nil {
+			return nil, err
+		}
+		setExprs := wp.setExprs
+		if args != nil {
+			setExprs = make([]expr.Expr, len(wp.setExprs))
+			for i, e := range wp.setExprs {
+				setExprs[i] = expr.BindParams(e, args)
+			}
+		}
+		for i, tid := range tids {
+			newRow := rows[i].Clone()
+			for j, ord := range wp.setOrds {
+				v, err := setExprs[j].Eval(rows[i])
+				if err != nil {
+					return nil, err
+				}
+				newRow[ord] = v
+			}
+			if err := db.UpdateRow(tx, wp.tbl, tid, newRow); err != nil {
+				return nil, err
+			}
+		}
+		return &Result{Affected: len(tids)}, nil
+	default:
+		tids, _, err := wp.scan.bind(args).collect(db, tx)
+		if err != nil {
+			return nil, err
+		}
+		for _, tid := range tids {
+			if err := db.DeleteRow(tx, wp.tbl, tid); err != nil {
+				return nil, err
+			}
+		}
+		return &Result{Affected: len(tids)}, nil
+	}
+}
+
+func (wp *writePlan) runInsert(db *DB, tx *txn.Txn, args []types.Datum) (*Result, error) {
+	tbl := wp.tbl
 	buildFull := func(partial types.Row) (types.Row, error) {
-		if len(partial) != len(colOrds) {
-			return nil, fmt.Errorf("engine: INSERT has %d values but %d columns", len(partial), len(colOrds))
+		if len(partial) != len(wp.colOrds) {
+			return nil, fmt.Errorf("engine: INSERT has %d values but %d columns", len(partial), len(wp.colOrds))
 		}
 		full := make(types.Row, len(tbl.Def.Columns))
 		assigned := make([]bool, len(full))
-		for i, ord := range colOrds {
+		for i, ord := range wp.colOrds {
 			full[ord] = partial[i]
 			assigned[ord] = true
 		}
@@ -499,7 +674,7 @@ func (db *DB) execInsert(tx *txn.Txn, s *sql.InsertStmt) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		_, ok, err := db.InsertRow(tx, tbl, full, s.OnConflict)
+		_, ok, err := db.InsertRow(tx, tbl, full, wp.conflict)
 		if err != nil {
 			return err
 		}
@@ -508,36 +683,30 @@ func (db *DB) execInsert(tx *txn.Txn, s *sql.InsertStmt) (*Result, error) {
 		}
 		return nil
 	}
-	if s.Select != nil {
-		p, err := db.PlanSelect(s.Select)
-		if err != nil {
+	if wp.sel != nil {
+		if err := wp.sel.execute(tx, nil, args, func(row types.Row) error { return insert(row.Clone()) }); err != nil {
 			return nil, err
 		}
-		if err := p.Execute(tx, func(row types.Row) error { return insert(row.Clone()) }); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, valueExprs := range s.Values {
-			row := make(types.Row, len(valueExprs))
-			for i, ve := range valueExprs {
-				v, err := ve.Eval(nil)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			if err := insert(row); err != nil {
+		return &Result{Affected: n}, nil
+	}
+	for _, valueExprs := range wp.values {
+		row := make(types.Row, len(valueExprs))
+		for i, ve := range valueExprs {
+			v, err := expr.BindParams(ve, args).Eval(nil)
+			if err != nil {
 				return nil, err
 			}
+			row[i] = v
+		}
+		if err := insert(row); err != nil {
+			return nil, err
 		}
 	}
 	return &Result{Affected: n}, nil
 }
 
-// ScanForWrite evaluates a WHERE predicate over a table (using indexes when
-// possible) and returns the TIDs and rows of matching visible tuples,
-// materialized so the caller can mutate without scan re-entrancy issues.
-func (db *DB) ScanForWrite(tx *txn.Txn, tbl *catalog.Table, alias string, where expr.Expr) ([]storage.TID, []types.Row, error) {
+// writeScan compiles an UPDATE or DELETE's WHERE into a scan of its table.
+func writeScan(tbl *catalog.Table, alias string, where expr.Expr) (*scanNode, error) {
 	if alias == "" {
 		alias = tbl.Def.Name
 	}
@@ -545,17 +714,23 @@ func (db *DB) ScanForWrite(tx *txn.Txn, tbl *catalog.Table, alias string, where 
 	if where != nil {
 		canon, err := canonicalize(where, scopeOf(sn.cols), sn.cols)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		bound, err := expr.Bind(canon, scopeOf(sn.cols))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sn.addFilter(bound)
 	}
+	return sn, nil
+}
+
+// collect returns the TIDs and rows of the scan's matching visible tuples,
+// materialized so the caller can mutate the table once the scan is over.
+func (n *scanNode) collect(db *DB, tx *txn.Txn) ([]storage.TID, []types.Row, error) {
 	var tids []storage.TID
 	var rows []types.Row
-	err := sn.executeTID(&execCtx{db: db, tx: tx}, func(tid storage.TID, row types.Row) error {
+	err := n.executeTID(&execCtx{db: db, tx: tx}, func(tid storage.TID, row types.Row) error {
 		tids = append(tids, tid)
 		rows = append(rows, row.Clone())
 		return nil
@@ -564,6 +739,17 @@ func (db *DB) ScanForWrite(tx *txn.Txn, tbl *catalog.Table, alias string, where 
 		return nil, nil, err
 	}
 	return tids, rows, nil
+}
+
+// ScanForWrite evaluates a WHERE predicate over a table (using indexes when
+// possible) and returns the TIDs and rows of matching visible tuples,
+// materialized so the caller can mutate the table once the scan is over.
+func (db *DB) ScanForWrite(tx *txn.Txn, tbl *catalog.Table, alias string, where expr.Expr) ([]storage.TID, []types.Row, error) {
+	sn, err := writeScan(tbl, alias, where)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sn.collect(db, tx)
 }
 
 // executeTID is scanNode execution that also reports each tuple's TID.
@@ -603,70 +789,4 @@ func (n *scanNode) executeTID(ctx *execCtx, emit func(storage.TID, types.Row) er
 		return scanErr == nil
 	})
 	return scanErr
-}
-
-func (db *DB) execUpdate(tx *txn.Txn, s *sql.UpdateStmt) (*Result, error) {
-	tbl, err := db.catForTxn(tx).Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	alias := s.Alias
-	if alias == "" {
-		alias = s.Table
-	}
-	scope := tbl.Def.Scope(normalizeName(alias))
-	// Bind SET expressions against the table row.
-	setOrds := make([]int, len(s.Set))
-	setExprs := make([]expr.Expr, len(s.Set))
-	for i, a := range s.Set {
-		ord := tbl.Def.ColumnIndex(a.Column)
-		if ord < 0 {
-			return nil, fmt.Errorf("engine: column %q does not exist in %q", a.Column, s.Table)
-		}
-		setOrds[i] = ord
-		bound, err := expr.Bind(a.Value, scope)
-		if err != nil {
-			return nil, err
-		}
-		setExprs[i] = bound
-	}
-	tids, rows, err := db.ScanForWrite(tx, tbl, alias, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	for i, tid := range tids {
-		newRow := rows[i].Clone()
-		for j, ord := range setOrds {
-			v, err := setExprs[j].Eval(rows[i])
-			if err != nil {
-				return nil, err
-			}
-			newRow[ord] = v
-		}
-		if err := db.UpdateRow(tx, tbl, tid, newRow); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: len(tids)}, nil
-}
-
-func (db *DB) execDelete(tx *txn.Txn, s *sql.DeleteStmt) (*Result, error) {
-	tbl, err := db.catForTxn(tx).Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	alias := s.Alias
-	if alias == "" {
-		alias = s.Table
-	}
-	tids, _, err := db.ScanForWrite(tx, tbl, alias, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	for _, tid := range tids {
-		if err := db.DeleteRow(tx, tbl, tid); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: len(tids)}, nil
 }

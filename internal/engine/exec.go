@@ -98,6 +98,12 @@ type scanNode struct {
 	lo, hi    []byte
 	idxDesc   string
 	idxPrefix int // index columns fixed by the filter's equalities
+	// The filter's operands that bound the index: one per prefix column,
+	// then the range on the next column (nil when none). lo and hi are their
+	// encoding, set at plan time, or per execution when a template parameter
+	// is among them (bind).
+	eqVals []expr.Expr
+	rng    *colRange
 }
 
 func (n *scanNode) columns() []Column    { return n.cols }
@@ -296,16 +302,9 @@ type indexJoinNode struct {
 	left     planNode
 	right    *scanNode
 	idx      index.Index
-	probe    []probeCol
+	probe    []expr.Expr // per probed index column: a join key bound to the left columns, or a constant
 	cols     []Column
 	residual expr.Expr // bound to concatenated columns
-}
-
-// probeCol supplies one index column of an index join's probe key: a join
-// key over the left row, or (expr nil) a constant.
-type probeCol struct {
-	expr expr.Expr // bound to left columns
-	val  types.Datum
 }
 
 // children omits the right scan: the join probes its table and applies its
@@ -338,12 +337,9 @@ func (n *indexJoinNode) execute(ctx *execCtx, emit emitFn) error {
 	defer func() { ctx.db.met.Engine.RowsScanned.Add(scanned) }()
 	return n.left.execute(ctx, func(lrow types.Row) error {
 		for i, p := range n.probe {
-			v := p.val
-			if p.expr != nil {
-				var err error
-				if v, err = p.expr.Eval(lrow); err != nil {
-					return err
-				}
+			v, err := p.Eval(lrow)
+			if err != nil {
+				return err
 			}
 			if v.IsNull() {
 				return nil // NULL never joins
@@ -914,6 +910,8 @@ func inferKind(e expr.Expr, cols []Column) types.Kind {
 	switch t := e.(type) {
 	case *expr.Const:
 		return t.Val.Kind()
+	case *expr.Param:
+		return t.Kind
 	case *expr.Col:
 		if t.Index >= 0 && t.Index < len(cols) {
 			return cols[t.Index].Kind

@@ -40,7 +40,7 @@ func explainNode(sb *strings.Builder, n planNode, depth int) {
 func (db *DB) execExplain(tx *txn.Txn, s *sql.ExplainStmt) (*Result, error) {
 	switch inner := s.Inner.(type) {
 	case *sql.SelectStmt:
-		p, err := db.PlanSelect(inner)
+		p, err := db.buildSelectPlan(db.cat.Head(), inner, "", nil)
 		if err != nil {
 			return nil, err
 		}

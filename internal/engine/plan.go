@@ -69,13 +69,32 @@ func (p *Plan) Execute(tx *txn.Txn, emit func(types.Row) error) error {
 // in the plan, so a cached plan may run concurrently under different row
 // sets.
 func (p *Plan) ExecuteBound(tx *txn.Txn, rows []types.Row, emit func(types.Row) error) error {
+	return p.execute(tx, rows, nil, emit)
+}
+
+// execute runs the plan with bound rows and a template's literal values
+// (either may be nil).
+func (p *Plan) execute(tx *txn.Txn, rows []types.Row, args []types.Datum, emit func(types.Row) error) error {
 	var returned int64
-	err := p.root.execute(&execCtx{db: p.db, tx: tx, bound: rows}, func(row types.Row) error {
+	err := bind(p.root, args).execute(&execCtx{db: p.db, tx: tx, bound: rows}, func(row types.Row) error {
 		returned++
 		return emit(row)
 	})
 	p.db.met.Engine.RowsReturned.Add(returned)
 	return err
+}
+
+// result runs the plan and collects its rows.
+func (p *Plan) result(tx *txn.Txn, args []types.Datum) (*Result, error) {
+	res := &Result{Columns: p.ColumnNames()}
+	err := p.execute(tx, nil, args, func(row types.Row) error {
+		res.Rows = append(res.Rows, row.Clone())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 func scopeOf(cols []Column) *expr.Scope {
@@ -89,18 +108,13 @@ func scopeOf(cols []Column) *expr.Scope {
 // --- planner ---
 
 // PlanSelect compiles a SELECT statement against the head catalog version,
-// reusing a cached plan when the same statement shape was planned before
-// (metric: PlansReused vs PlansBuilt). Cache keys carry the catalog version
-// identity, so a hit is always against the version it was compiled for;
-// DDL/migration invalidation additionally bounds memory.
+// reusing a cached plan when the same statement was planned before against
+// the same version (metric: PlansReused vs PlansBuilt). Plans are cached by
+// statement identity, so this serves callers that plan one long-lived
+// statement many times (migration transforms); statement text arrives
+// through Prepare, whose templates give each shape one identity.
 func (db *DB) PlanSelect(s *sql.SelectStmt) (*Plan, error) {
 	return db.planCached(db.cat.Head(), s, "")
-}
-
-// PlanSelectAt compiles (with caching) a SELECT against a pinned catalog
-// version — the one a transaction's snapshot resolves (see catForTxn).
-func (db *DB) PlanSelectAt(v *catalog.Version, s *sql.SelectStmt) (*Plan, error) {
-	return db.planCached(v, s, "")
 }
 
 // PlanSelectBound compiles (with caching) a SELECT whose boundAlias FROM
@@ -114,8 +128,8 @@ func (db *DB) PlanSelectBound(s *sql.SelectStmt, boundAlias string) (*Plan, erro
 }
 
 func (db *DB) planCached(v *catalog.Version, s *sql.SelectStmt, boundAlias string) (*Plan, error) {
-	key := versionedCacheKey(v, s, boundAlias)
-	if p := db.plans.get(key); p != nil {
+	key := planKey{stmt: s, ver: v.ID(), alias: boundAlias}
+	if p, ok := db.plans.get(key).(*Plan); ok {
 		db.met.Engine.PlansReused.Inc()
 		return p, nil
 	}
@@ -500,7 +514,7 @@ func (b *planBuilder) buildJoin(left, right planNode, preds []expr.Expr) (planNo
 
 // buildIndexJoin plans an index nested-loop join of left with the right
 // scan when some index on the right table has a prefix whose every column is
-// fixed, either by a `col = const` conjunct of the scan's filter or by an
+// fixed, either by a `col = operand` conjunct of the scan's filter or by an
 // equi-join key, with at least one join key among them. Each left row then
 // probes that prefix; the join keys the probe does not use join the residual.
 // It returns nil when no index qualifies, or when the scan's own index
@@ -553,11 +567,11 @@ func buildIndexJoin(left planNode, rsn *scanNode, leftKeys, rightKeys, residual 
 		return nil, nil
 	}
 	leftCols := left.columns()
-	probe := make([]probeCol, bestPrefix)
+	probe := make([]expr.Expr, bestPrefix)
 	usedKey := make([]bool, len(leftKeys))
 	for i, ord := range best.Def().Columns[:bestPrefix] {
 		if v, ok := consts[ord]; ok {
-			probe[i].val = v
+			probe[i] = v
 			continue
 		}
 		k := joinAt[ord]
@@ -565,7 +579,7 @@ func buildIndexJoin(left planNode, rsn *scanNode, leftKeys, rightKeys, residual 
 		if err != nil {
 			return nil, err
 		}
-		probe[i].expr = bound
+		probe[i] = bound
 		usedKey[k] = true
 	}
 	for k, used := range usedKey {
@@ -655,6 +669,21 @@ func (b *planBuilder) buildProject(child planNode, items []boundItem) (*projectN
 func (b *planBuilder) buildAggregate(child planNode, s *sql.SelectStmt, items []boundItem) (planNode, []boundItem, error) {
 	inCols := child.columns()
 	inScope := scopeOf(inCols)
+
+	// The rewrite below matches items to GROUP BY expressions and aggregate
+	// calls to one another by their text. Literals take part in that match,
+	// but two template Params never print alike, so a template with one
+	// there would plan differently from its text: it takes the plain path.
+	fallback := aggregateHasParam(s.Having)
+	for _, g := range s.GroupBy {
+		fallback = fallback || expr.HasParam(g)
+	}
+	for _, it := range items {
+		fallback = fallback || aggregateHasParam(it.Expr)
+	}
+	if fallback {
+		return nil, nil, errTemplateFallback
+	}
 
 	// Canonicalize and bind GROUP BY expressions.
 	groupExprs := make([]expr.Expr, len(s.GroupBy))
@@ -825,6 +854,19 @@ func (b *planBuilder) buildAggregate(child planNode, s *sql.SelectStmt, items []
 	return out, newItems, nil
 }
 
+// aggregateHasParam reports whether an aggregate call in e has a template
+// Param in its argument.
+func aggregateHasParam(e expr.Expr) bool {
+	found := false
+	expr.Walk(e, func(x expr.Expr) bool {
+		if a, ok := x.(*expr.Agg); ok && expr.HasParam(a.Arg) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 // minProbe returns a first-entry probe for a lone ungrouped MIN(col) over a
 // scan whose chosen B+tree index has col right after the equality prefix the
 // filter fixes (see minProbeNode), or nil when the query does not have that
@@ -866,17 +908,39 @@ func (sn *scanNode) addFilter(bound expr.Expr) {
 	sn.chooseIndex()
 }
 
-// colRange is a range bound on one column taken from the scan's filter.
+// colRange is a range bound on one column taken from the scan's filter. A
+// bound is the filter's operand: a Const, or a template's Param whose value
+// arrives per execution.
 type colRange struct {
-	lo, hi       *types.Datum
+	lo, hi       expr.Expr
 	loInc, hiInc bool
 }
 
-// filterBounds classifies the filter's `col OP const` conjuncts into
-// equalities and range bounds, by table ordinal. NULL constants never match,
-// so they bound nothing.
-func (sn *scanNode) filterBounds() (map[int]types.Datum, map[int]*colRange) {
-	eq := map[int]types.Datum{}
+// boundOperand reports whether e can bound an index scan: a non-NULL
+// constant or a template parameter (never NULL, which a shape spells as a
+// keyword). NULL constants never match, so they bound nothing.
+func boundOperand(e expr.Expr) bool {
+	switch t := e.(type) {
+	case *expr.Const:
+		return !t.Val.IsNull()
+	case *expr.Param:
+		return true
+	}
+	return false
+}
+
+// operandValue is the value of a bound operand (see boundOperand).
+func operandValue(e expr.Expr, args []types.Datum) types.Datum {
+	if p, ok := e.(*expr.Param); ok {
+		return p.Value(args)
+	}
+	return e.(*expr.Const).Val
+}
+
+// filterBounds classifies the filter's `col OP operand` conjuncts into
+// equalities and range bounds, by table ordinal.
+func (sn *scanNode) filterBounds() (map[int]expr.Expr, map[int]*colRange) {
+	eq := map[int]expr.Expr{}
 	ranges := map[int]*colRange{}
 	if sn.filter == nil {
 		return eq, ranges
@@ -893,15 +957,13 @@ func (sn *scanNode) filterBounds() (map[int]types.Datum, map[int]*colRange) {
 			continue
 		}
 		col, cok := bo.L.(*expr.Col)
-		cst, vok := bo.R.(*expr.Const)
-		op := bo.Op
-		if !cok || !vok {
-			// const OP col: flip.
-			col, cok = bo.R.(*expr.Col)
-			cst, vok = bo.L.(*expr.Const)
-			if !cok || !vok {
+		v, op := bo.R, bo.Op
+		if !cok {
+			// operand OP col: flip.
+			if col, cok = bo.R.(*expr.Col); !cok {
 				continue
 			}
+			v = bo.L
 			switch op {
 			case expr.OpLt:
 				op = expr.OpGt
@@ -913,35 +975,38 @@ func (sn *scanNode) filterBounds() (map[int]types.Datum, map[int]*colRange) {
 				op = expr.OpLe
 			}
 		}
-		if cst.Val.IsNull() {
+		if !boundOperand(v) {
 			continue
 		}
-		v := cst.Val
 		switch op {
 		case expr.OpEq:
 			eq[col.Index] = v
 		case expr.OpGt:
 			r := getRange(col.Index)
-			r.lo, r.loInc = &v, false
+			r.lo, r.loInc = v, false
 		case expr.OpGe:
 			r := getRange(col.Index)
-			r.lo, r.loInc = &v, true
+			r.lo, r.loInc = v, true
 		case expr.OpLt:
 			r := getRange(col.Index)
-			r.hi, r.hiInc = &v, false
+			r.hi, r.hiInc = v, false
 		case expr.OpLe:
 			r := getRange(col.Index)
-			r.hi, r.hiInc = &v, true
+			r.hi, r.hiInc = v, true
 		}
 	}
 	return eq, ranges
 }
 
-// chooseIndex inspects the filter's conjuncts for equality (col = const)
+// chooseIndex inspects the filter's conjuncts for equality (col = operand)
 // prefixes over an index, plus an optional range bound on the following
-// index column.
+// index column. The choice depends only on which columns are bounded, never
+// on the values, so a template's plan serves every execution; the bounds'
+// keys are encoded here when the operands are constants, and per execution
+// (bind) when a template parameter supplies one.
 func (sn *scanNode) chooseIndex() {
 	sn.idx, sn.lo, sn.hi, sn.idxDesc, sn.idxPrefix = nil, nil, nil, "", 0
+	sn.eqVals, sn.rng = nil, nil
 	if sn.filter == nil {
 		return
 	}
@@ -974,31 +1039,51 @@ func (sn *scanNode) chooseIndex() {
 		return
 	}
 	def := best.Def()
-	prefixKey := make(types.Row, bestPrefix)
-	for i := 0; i < bestPrefix; i++ {
-		prefixKey[i] = eq[def.Columns[i]]
+	sn.eqVals = make([]expr.Expr, bestPrefix)
+	params := false
+	for i := range sn.eqVals {
+		sn.eqVals[i] = eq[def.Columns[i]]
+		_, p := sn.eqVals[i].(*expr.Param)
+		params = params || p
 	}
-	encoded := types.EncodeKey(nil, prefixKey)
-	lo := encoded
-	hi := index.PrefixSucc(encoded)
 	desc := fmt.Sprintf("%s (=%d cols", def.Name, bestPrefix)
 	if bestHasRange {
-		r := ranges[def.Columns[bestPrefix]]
+		sn.rng = ranges[def.Columns[bestPrefix]]
+		for _, b := range []expr.Expr{sn.rng.lo, sn.rng.hi} {
+			_, p := b.(*expr.Param)
+			params = params || p
+		}
+		desc += "+range"
+	}
+	desc += ")"
+	sn.idx, sn.idxDesc, sn.idxPrefix = best, desc, bestPrefix
+	if !params {
+		sn.encodeBounds(nil)
+	}
+}
+
+// encodeBounds sets the index scan's key range from its bound operands,
+// taking template parameters' values from args.
+func (sn *scanNode) encodeBounds(args []types.Datum) {
+	prefixKey := make(types.Row, len(sn.eqVals))
+	for i, e := range sn.eqVals {
+		prefixKey[i] = operandValue(e, args)
+	}
+	encoded := types.EncodeKey(nil, prefixKey)
+	lo, hi := encoded, index.PrefixSucc(encoded)
+	if r := sn.rng; r != nil {
 		if r.lo != nil {
-			lo = types.EncodeDatum(append([]byte(nil), encoded...), *r.lo)
+			lo = types.EncodeDatum(append([]byte(nil), encoded...), operandValue(r.lo, args))
 			if !r.loInc {
 				lo = append(lo, 0xFF) // skip the exact bound
 			}
 		}
 		if r.hi != nil {
-			h := types.EncodeDatum(append([]byte(nil), encoded...), *r.hi)
+			hi = types.EncodeDatum(append([]byte(nil), encoded...), operandValue(r.hi, args))
 			if r.hiInc {
-				h = append(h, 0xFF)
+				hi = append(hi, 0xFF)
 			}
-			hi = h
 		}
-		desc += "+range"
 	}
-	desc += ")"
-	sn.idx, sn.lo, sn.hi, sn.idxDesc, sn.idxPrefix = best, lo, hi, desc, bestPrefix
+	sn.lo, sn.hi = lo, hi
 }

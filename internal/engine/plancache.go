@@ -2,25 +2,42 @@ package engine
 
 import (
 	"container/list"
-	"strconv"
-	"strings"
 	"sync"
 
-	"github.com/bullfrogdb/bullfrog/internal/catalog"
 	"github.com/bullfrogdb/bullfrog/internal/sql"
 )
 
-// planCacheCap bounds the number of cached plans. Entries are evicted LRU;
-// TPC-C plus a handful of migration transforms fits in a few dozen entries,
-// so the cap only matters for adversarial workloads with unbounded distinct
-// statement shapes (e.g. literals inlined into every query).
-const planCacheCap = 512
+// planCacheCap bounds the number of cached plans, and templateCacheCap the
+// number of statement templates. Entries are evicted LRU; TPC-C plus a
+// handful of migration transforms fits in a few dozen entries, so the caps
+// only matter for workloads with unbounded distinct statement shapes.
+const (
+	planCacheCap     = 512
+	templateCacheCap = 512
+)
 
-// planCache is an LRU of compiled SELECT plans keyed on the statement's
-// canonical text (plus the bound-alias shape for migration transforms).
-// Cached plans are safe for concurrent Execute calls: every executor node
-// keeps per-execution state in locals, and bound rows travel in the execCtx,
-// never in the plan itself.
+// planKey identifies a cached plan: the statement it was compiled from (by
+// identity: a statement template's, or a long-lived caller's, such as a
+// migration transform), the catalog version it was compiled against, and the
+// bound alias of a migration transform. Version identity — not sequence — is
+// the key component: in-place DDL republishes the head at the same sequence
+// but with a fresh identity.
+type planKey struct {
+	stmt  sql.Statement
+	ver   uint64
+	alias string
+}
+
+// planFailed is the cache entry of a template that does not plan against a
+// catalog version: its executions take the plain parse path, whose planner
+// reports the error.
+type planFailed struct{}
+
+// planCache is an LRU of compiled plans: *Plan for SELECTs, *writePlan for
+// INSERT/UPDATE/DELETE templates, or planFailed. Cached plans are safe for
+// concurrent execution: every executor node keeps per-execution state in
+// locals, and bound rows and literal values travel in the execCtx or in a
+// per-execution bound copy, never in the plan itself.
 //
 // Invalidation is coarse: any DDL (and any migration start or catalog
 // mutation done by internal/core outside the SQL path) clears the whole
@@ -29,19 +46,19 @@ const planCacheCap = 512
 type planCache struct {
 	mu sync.Mutex
 	ll *list.List // front = most recently used
-	m  map[string]*list.Element
+	m  map[planKey]*list.Element
 }
 
 type planCacheEntry struct {
-	key  string
-	plan *Plan
+	key  planKey
+	plan any
 }
 
 func newPlanCache() *planCache {
-	return &planCache{ll: list.New(), m: make(map[string]*list.Element)}
+	return &planCache{ll: list.New(), m: make(map[planKey]*list.Element)}
 }
 
-func (c *planCache) get(key string) *Plan {
+func (c *planCache) get(key planKey) any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
@@ -52,7 +69,7 @@ func (c *planCache) get(key string) *Plan {
 	return el.Value.(*planCacheEntry).plan
 }
 
-func (c *planCache) put(key string, p *Plan) {
+func (c *planCache) put(key planKey, p any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
@@ -72,7 +89,7 @@ func (c *planCache) invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
-	c.m = make(map[string]*list.Element)
+	c.m = make(map[planKey]*list.Element)
 }
 
 func (c *planCache) len() int {
@@ -84,110 +101,55 @@ func (c *planCache) len() int {
 // InvalidatePlans drops every cached plan. The engine calls it after DDL;
 // internal/core calls it when a migration starts, completes (input tables may
 // be dropped), or is reset, since those paths mutate the catalog without
-// going through SQL.
+// going through SQL. Statement templates are pure parses and stay.
 func (db *DB) InvalidatePlans() { db.plans.invalidate() }
 
 // PlanCacheLen reports the number of cached plans (tests and diagnostics).
 func (db *DB) PlanCacheLen() int { return db.plans.len() }
 
-// versionedCacheKey prefixes the canonical statement text with the catalog
-// version's identity, so plans compiled against different schema versions
-// (e.g. a snapshot pinned before a migration's install vs after) can never
-// be confused for one another. Version identity — not sequence — is the key
-// component: in-place DDL republishes the head at the same sequence but with
-// a fresh identity.
-func versionedCacheKey(v *catalog.Version, s *sql.SelectStmt, boundAlias string) string {
-	return "v" + strconv.FormatUint(v.ID(), 10) + "|" + selectCacheKey(s, boundAlias)
+// templateCache is an LRU from a statement shape (sql.Shape) to its
+// template. A template is the shape's parse, or nil when the shape has no
+// template (DDL, EXPLAIN, several statements, a parse error), so such text
+// goes straight to the plain parse path.
+type templateCache struct {
+	mu sync.Mutex
+	ll *list.List // front = most recently used
+	m  map[string]*list.Element
 }
 
-// selectCacheKey renders a SELECT to canonical text for cache keying. The
-// sql package has no statement printer, so this is it: identifiers appear as
-// parsed, expressions via expr's String (which quotes string literals, so
-// text and numeric literals cannot collide; int/float literals that render
-// identically compare numerically across kinds anyway). Differences in input
-// case cost a cache miss, never a false hit.
-func selectCacheKey(s *sql.SelectStmt, boundAlias string) string {
-	var b strings.Builder
-	b.Grow(128)
-	writeSelectKey(&b, s)
-	if boundAlias != "" {
-		b.WriteString("|bound:")
-		b.WriteString(boundAlias)
-	}
-	return b.String()
+type templateEntry struct {
+	shape string
+	stmt  sql.Statement
 }
 
-func writeSelectKey(b *strings.Builder, s *sql.SelectStmt) {
-	b.WriteString("SELECT ")
-	if s.Distinct {
-		b.WriteString("DISTINCT ")
+func newTemplateCache() *templateCache {
+	return &templateCache{ll: list.New(), m: make(map[string]*list.Element)}
+}
+
+// get looks a shape up; the key is a byte slice so a hit does not allocate.
+func (c *templateCache) get(shape []byte) (sql.Statement, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.m[string(shape)]
+	if !ok {
+		return nil, false
 	}
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		switch {
-		case it.Star && it.StarTable != "":
-			b.WriteString(it.StarTable)
-			b.WriteString(".*")
-		case it.Star:
-			b.WriteByte('*')
-		default:
-			b.WriteString(it.Expr.String())
-			if it.Alias != "" {
-				b.WriteString(" AS ")
-				b.WriteString(it.Alias)
-			}
-		}
+	c.ll.MoveToFront(el)
+	return el.Value.(*templateEntry).stmt, true
+}
+
+func (c *templateCache) put(shape string, stmt sql.Statement) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[shape]; ok {
+		el.Value.(*templateEntry).stmt = stmt
+		c.ll.MoveToFront(el)
+		return
 	}
-	b.WriteString(" FROM ")
-	for i, ref := range s.From {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if ref.Subquery != nil {
-			b.WriteByte('(')
-			writeSelectKey(b, ref.Subquery)
-			b.WriteByte(')')
-		} else {
-			b.WriteString(ref.Name)
-		}
-		if ref.Alias != "" {
-			b.WriteString(" AS ")
-			b.WriteString(ref.Alias)
-		}
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE ")
-		b.WriteString(s.Where.String())
-	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, e := range s.GroupBy {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(e.String())
-		}
-	}
-	if s.Having != nil {
-		b.WriteString(" HAVING ")
-		b.WriteString(s.Having.String())
-	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(o.Expr.String())
-			if o.Desc {
-				b.WriteString(" DESC")
-			}
-		}
-	}
-	if s.Limit >= 0 {
-		b.WriteString(" LIMIT ")
-		b.WriteString(strconv.FormatInt(s.Limit, 10))
+	c.m[shape] = c.ll.PushFront(&templateEntry{shape: shape, stmt: stmt})
+	if c.ll.Len() > templateCacheCap {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.m, oldest.Value.(*templateEntry).shape)
 	}
 }

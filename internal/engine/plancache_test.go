@@ -35,21 +35,24 @@ func TestPlanCacheReuse(t *testing.T) {
 	if got := db.Obs().Engine.PlansBuilt.Load() - built0; got != 1 {
 		t.Fatalf("warm queries rebuilt plans: built = %d, want 1", got)
 	}
-	// A textually different statement is a different cache entry.
-	mustExec(t, db, `SELECT b FROM t WHERE a = 2`)
-	if got := db.PlanCacheLen(); got != 2 {
-		t.Fatalf("cache entries = %d, want 2", got)
+	// A statement that differs only in its literals shares the template,
+	// and so the plan.
+	res := mustExec(t, db, `SELECT b FROM t WHERE a = 2`)
+	if got := db.PlanCacheLen(); got != 1 {
+		t.Fatalf("cache entries = %d, want 1", got)
 	}
-	// Literal type matters: 'x' (string) and x (column) must not collide,
-	// and string literals keep their quotes in the key.
-	if _, err := db.Exec(`SELECT 'a' FROM t`); err != nil {
-		t.Fatal(err)
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 20 {
+		t.Fatalf("second literal through the shared plan: %v", res.Rows)
 	}
-	if _, err := db.Exec(`SELECT a FROM t`); err != nil {
-		t.Fatal(err)
+	// Shape matters: 'a' (string literal) and a (column) must not collide,
+	// nor may literals of different kinds.
+	for _, q := range []string{`SELECT 'a' FROM t`, `SELECT a FROM t`, `SELECT b FROM t WHERE a = 1.0`} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := db.PlanCacheLen(); got != 4 {
-		t.Fatalf("cache entries after literal/column pair = %d, want 4", got)
+		t.Fatalf("cache entries after literal/column/kind shapes = %d, want 4", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 
+	"github.com/bullfrogdb/bullfrog/internal/catalog"
 	"github.com/bullfrogdb/bullfrog/internal/index"
 	"github.com/bullfrogdb/bullfrog/internal/storage"
 	"github.com/bullfrogdb/bullfrog/internal/txn"
@@ -45,6 +46,12 @@ type applier struct {
 	// differently than original slot allocation).
 	tidMap     map[string]map[storage.TID]storage.TID
 	onMigrated func(tracker string, key []byte)
+	// The table of the previous data record, as logged, resolved once for
+	// the run of records that name it.
+	lastName string
+	last     *catalog.Table
+	lastTIDs map[storage.TID]storage.TID
+	key      []byte // scratch for index keys; indexes copy what they keep
 }
 
 func newApplier(db *DB, tx *txn.Txn, stats *RecoverStats, onMigrated func(string, []byte)) *applier {
@@ -55,13 +62,23 @@ func newApplier(db *DB, tx *txn.Txn, stats *RecoverStats, onMigrated func(string
 	}
 }
 
-func (a *applier) mapFor(table string) map[storage.TID]storage.TID {
-	m := a.tidMap[normalizeName(table)]
+// table resolves a record's table and its TID map.
+func (a *applier) table(name string) (*catalog.Table, map[storage.TID]storage.TID, error) {
+	if a.last != nil && name == a.lastName {
+		return a.last, a.lastTIDs, nil
+	}
+	tbl, err := a.db.cat.Table(name)
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: recovery: %w", err)
+	}
+	key := normalizeName(name)
+	m := a.tidMap[key]
 	if m == nil {
 		m = make(map[storage.TID]storage.TID)
-		a.tidMap[normalizeName(table)] = m
+		a.tidMap[key] = m
 	}
-	return m
+	a.lastName, a.last, a.lastTIDs = name, tbl, m
+	return tbl, m, nil
 }
 
 // apply replays one committed data record. Begin/commit/abort/install/
@@ -69,22 +86,23 @@ func (a *applier) mapFor(table string) map[storage.TID]storage.TID {
 func (a *applier) apply(rec wal.Record) error {
 	switch rec.Type {
 	case wal.RecInsert:
-		tbl, err := a.db.cat.Table(rec.Table)
+		tbl, tids, err := a.table(rec.Table)
 		if err != nil {
-			return fmt.Errorf("engine: recovery: %w", err)
+			return err
 		}
 		newTID := tbl.Heap.Insert(a.tx.ID(), rec.Row)
 		for _, idx := range tbl.Indexes() {
-			idx.Insert(idx.Def().KeyFromRow(rec.Row), newTID)
+			a.key = idx.Def().AppendKey(a.key[:0], rec.Row)
+			idx.Insert(a.key, newTID)
 		}
-		a.mapFor(rec.Table)[rec.TID] = newTID
+		tids[rec.TID] = newTID
 		a.stats.Inserts++
 	case wal.RecUpdate:
-		tbl, err := a.db.cat.Table(rec.Table)
+		tbl, tids, err := a.table(rec.Table)
 		if err != nil {
-			return fmt.Errorf("engine: recovery: %w", err)
+			return err
 		}
-		newTID, ok := a.mapFor(rec.Table)[rec.TID]
+		newTID, ok := tids[rec.TID]
 		if !ok {
 			// The tuple predates the log (no insert record): recovery
 			// from a truncated log cannot reconstruct it.
@@ -94,15 +112,25 @@ func (a *applier) apply(rec wal.Record) error {
 		// invisible to everyone until the end: overwrite it instead of
 		// pushing a version nobody can ever read. A hot row (a warehouse's
 		// w_ytd) would otherwise end up with one version per update in the
-		// log.
-		var old types.Row
+		// log. The rows replay writes are its own, so a delta that moves no
+		// index key patches such a head's row in place.
+		var old, row types.Row
 		var replaced, sole bool
+		var moved []keyMove
 		err = tbl.Heap.Mutate(newTID, func(s storage.Slot) error {
-			old = s.Head().Row
-			replaced = s.Replace(a.tx.ID(), rec.Row)
-			sole = s.Head().Next == nil
+			head := s.Head()
+			if rec.Cols != nil && head.XMin == a.tx.ID() && head.XMax == 0 && !touchesIndex(tbl, rec.Cols) {
+				return patchInPlace(head.Row, rec)
+			}
+			old = head.Row
+			if row, err = patchRow(old, rec); err != nil {
+				return err
+			}
+			moved = movedKeys(tbl, rec.Cols, old, row)
+			replaced = s.Replace(a.tx.ID(), row)
+			sole = head.Next == nil
 			if !replaced {
-				s.Push(a.tx.ID(), rec.Row)
+				s.Push(a.tx.ID(), row)
 				s.MarkKeysMoved() // conservatively: keys are compared below
 			}
 			return nil
@@ -110,23 +138,19 @@ func (a *applier) apply(rec wal.Record) error {
 		if err != nil {
 			return err
 		}
-		for _, idx := range tbl.Indexes() {
-			oldKey := idx.Def().KeyFromRow(old)
-			newKey := idx.Def().KeyFromRow(rec.Row)
-			if string(oldKey) != string(newKey) {
-				idx.Insert(newKey, newTID)
-				if replaced && sole {
-					idx.Delete(oldKey, newTID) // no version holds the old key any more
-				}
+		for _, m := range moved {
+			m.idx.Insert(m.newKey, newTID)
+			if replaced && sole {
+				m.idx.Delete(m.oldKey, newTID) // no version holds the old key any more
 			}
 		}
 		a.stats.Updates++
 	case wal.RecDelete:
-		tbl, err := a.db.cat.Table(rec.Table)
+		tbl, tids, err := a.table(rec.Table)
 		if err != nil {
-			return fmt.Errorf("engine: recovery: %w", err)
+			return err
 		}
-		newTID, ok := a.mapFor(rec.Table)[rec.TID]
+		newTID, ok := tids[rec.TID]
 		if !ok {
 			return fmt.Errorf("engine: recovery: delete of unknown tuple %s in %q", rec.TID, rec.Table)
 		}
@@ -143,6 +167,82 @@ func (a *applier) apply(rec wal.Record) error {
 		a.stats.Migrated++
 	}
 	return nil
+}
+
+// keyMove is an index key an update changed.
+type keyMove struct {
+	idx            index.Index
+	oldKey, newKey []byte
+}
+
+// movedKeys returns the index keys an update from old to row changes. An
+// index none of whose columns the delta names (changed nil: a full image,
+// which may change any) keeps its key, and so does one whose columns hold
+// identical datums; only the rest have their keys encoded and compared.
+func movedKeys(tbl *catalog.Table, changed []int, old, row types.Row) []keyMove {
+	var out []keyMove
+	for _, idx := range tbl.Indexes() {
+		def := idx.Def()
+		if !indexTouched(def.Columns, changed) || sameCols(def.Columns, old, row) {
+			continue
+		}
+		oldKey, newKey := def.KeyFromRow(old), def.KeyFromRow(row)
+		if string(oldKey) != string(newKey) {
+			out = append(out, keyMove{idx: idx, oldKey: oldKey, newKey: newKey})
+		}
+	}
+	return out
+}
+
+// touchesIndex reports whether any of the table's indexes has one of the
+// changed columns.
+func touchesIndex(tbl *catalog.Table, changed []int) bool {
+	for _, idx := range tbl.Indexes() {
+		if indexTouched(idx.Def().Columns, changed) {
+			return true
+		}
+	}
+	return false
+}
+
+// patchInPlace applies a delta to a row nothing else shares.
+func patchInPlace(row types.Row, rec wal.Record) error {
+	for _, ord := range rec.Cols {
+		if ord >= len(row) {
+			return fmt.Errorf("engine: recovery: update of column %d in %d-column %q: %w", ord, len(row), rec.Table, wal.ErrCorrupt)
+		}
+	}
+	for i, ord := range rec.Cols {
+		row[ord] = rec.Row[i]
+	}
+	return nil
+}
+
+// patchRow returns the row an update record leaves: its full image, or for
+// a delta (Cols set) the previous image with the changed columns replaced.
+func patchRow(prev types.Row, rec wal.Record) (types.Row, error) {
+	if rec.Cols == nil {
+		return rec.Row, nil
+	}
+	row := prev.Clone()
+	if err := patchInPlace(row, rec); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// indexTouched reports whether a delta's changed columns (nil: a full image,
+// which may change any) include one of the index columns.
+func indexTouched(idxCols, changed []int) bool {
+	if changed == nil {
+		return true
+	}
+	for _, ord := range idxCols {
+		if slices.Contains(changed, ord) {
+			return true
+		}
+	}
+	return false
 }
 
 // Recover rebuilds table contents (and reports committed migration-status

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -138,5 +139,52 @@ func TestReplayOverwritesItsOwnHeads(t *testing.T) {
 	}
 	if res := mustExec(t, db2, `SELECT id FROM accounts WHERE owner = 'robert'`); len(res.Rows) != 1 {
 		t.Errorf("moved key after replay: %v", res.Rows)
+	}
+}
+
+// TestReplayDeltaUpdates replays updates logged as deltas of their changed
+// columns: a row updated by two transactions, on different columns, comes
+// back as the second image, and a delta that moves an index key moves the
+// recovered index entry with it.
+func TestReplayDeltaUpdates(t *testing.T) {
+	var logBuf bytes.Buffer
+	db := New(Options{WAL: wal.NewWriter(&logBuf)})
+	mustExec(t, db, recoverSchema)
+	mustExec(t, db, `INSERT INTO accounts VALUES (1, 'alice', 100), (2, 'bob', 200)`)
+	mustExec(t, db, `UPDATE accounts SET bal = 150 WHERE id = 1`)
+	mustExec(t, db, `UPDATE accounts SET owner = 'ann' WHERE id = 1`)
+	mustExec(t, db, `UPDATE accounts SET bal = bal WHERE id = 2`) // changes nothing
+
+	var deltas, fulls int
+	if err := wal.Replay(bytes.NewReader(logBuf.Bytes()), func(rec wal.Record) error {
+		if rec.Type == wal.RecUpdate {
+			if rec.Cols != nil {
+				deltas++
+			} else {
+				fulls++
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if deltas != 3 || fulls != 0 {
+		t.Fatalf("logged %d delta and %d full updates, want 3 and 0", deltas, fulls)
+	}
+
+	db2 := New(Options{})
+	mustExec(t, db2, recoverSchema)
+	if _, err := db2.Recover(func() (io.Reader, error) { return bytes.NewReader(logBuf.Bytes()), nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	res := mustExec(t, db2, `SELECT id, owner, bal FROM accounts ORDER BY id`)
+	want := "[(1, 'ann', 150) (2, 'bob', 200)]"
+	if got := fmt.Sprint(res.Rows); got != want {
+		t.Fatalf("recovered rows %s, want %s", got, want)
+	}
+	for owner, n := range map[string]int{"ann": 1, "alice": 0, "bob": 1} {
+		if got := len(mustExec(t, db2, `SELECT id FROM accounts WHERE owner = '`+owner+`'`).Rows); got != n {
+			t.Errorf("owner %s: %d rows through the index, want %d", owner, got, n)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/bullfrogdb/bullfrog/internal/types"
@@ -178,4 +179,42 @@ func (c *Case) String() string {
 	}
 	sb.WriteString(" END")
 	return sb.String()
+}
+
+// Param is a literal slot of a statement template (internal/sql): the
+// Idx'th literal of the statement text, of a kind fixed by the text's shape.
+// Neg marks a literal under unary minus, which binds as the negated value the
+// way the parser folds a negative literal. A Param must be bound to a Const
+// (BindParams) before evaluation.
+type Param struct {
+	Idx  int
+	Kind types.Kind
+	Neg  bool
+}
+
+// Eval fails: a Param has no value until it is bound.
+func (p *Param) Eval(types.Row) (types.Datum, error) {
+	return types.Null, fmt.Errorf("expr: unbound parameter %s", p)
+}
+
+// String renders the slot by position, so two Params never print alike
+// (the planner matches expressions by their text).
+func (p *Param) String() string {
+	s := "$" + strconv.Itoa(p.Idx+1)
+	if p.Neg {
+		s = "-" + s
+	}
+	return s
+}
+
+// Value returns the Param's value among a statement's literal values.
+func (p *Param) Value(args []types.Datum) types.Datum {
+	v := args[p.Idx]
+	if !p.Neg {
+		return v
+	}
+	if v.Kind() == types.KindFloat {
+		return types.NewFloat(-v.Float())
+	}
+	return types.NewInt(-v.Int())
 }

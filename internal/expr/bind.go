@@ -76,7 +76,7 @@ func Transform(e Expr, f func(Expr) (Expr, error)) (Expr, error) {
 	}
 	var rebuilt Expr
 	switch t := e.(type) {
-	case *Const, *Col:
+	case *Const, *Col, *Param:
 		rebuilt = e
 	case *BinOp:
 		l, err := Transform(t.L, f)
@@ -254,4 +254,117 @@ func Clone(e Expr) Expr {
 		panic("expr: Clone cannot fail: " + err.Error())
 	}
 	return out
+}
+
+// BindParams replaces every Param in e with a Const of its value among args.
+// It returns e itself, without allocating, when e holds no Param (or args is
+// nil), and otherwise rebuilds only the path to each Param; the input tree
+// is never mutated.
+func BindParams(e Expr, args []types.Datum) Expr {
+	if args == nil || e == nil {
+		return e
+	}
+	out, _ := bindParams(e, args)
+	return out
+}
+
+func bindParams(e Expr, args []types.Datum) (Expr, bool) {
+	switch t := e.(type) {
+	case *Param:
+		return &Const{Val: t.Value(args)}, true
+	case *BinOp:
+		l, lc := bindParams(t.L, args)
+		r, rc := bindParams(t.R, args)
+		if !lc && !rc {
+			return e, false
+		}
+		return &BinOp{Op: t.Op, L: l, R: r}, true
+	case *Not:
+		inner, c := bindParams(t.E, args)
+		if !c {
+			return e, false
+		}
+		return &Not{E: inner}, true
+	case *IsNull:
+		inner, c := bindParams(t.E, args)
+		if !c {
+			return e, false
+		}
+		return &IsNull{E: inner, Negate: t.Negate}, true
+	case *Func:
+		list, c := bindList(t.Args, args)
+		if !c {
+			return e, false
+		}
+		return &Func{Name: t.Name, Args: list}, true
+	case *Agg:
+		if t.Arg == nil {
+			return e, false
+		}
+		arg, c := bindParams(t.Arg, args)
+		if !c {
+			return e, false
+		}
+		return &Agg{Name: t.Name, Distinct: t.Distinct, Arg: arg}, true
+	case *InList:
+		inner, ic := bindParams(t.E, args)
+		list, lc := bindList(t.List, args)
+		if !ic && !lc {
+			return e, false
+		}
+		return &InList{E: inner, List: list}, true
+	case *Case:
+		changed := false
+		whens := make([]When, len(t.Whens))
+		for i, w := range t.Whens {
+			c, cc := bindParams(w.Cond, args)
+			v, vc := bindParams(w.Then, args)
+			whens[i] = When{Cond: c, Then: v}
+			changed = changed || cc || vc
+		}
+		var els Expr
+		if t.Else != nil {
+			var ec bool
+			els, ec = bindParams(t.Else, args)
+			changed = changed || ec
+		}
+		if !changed {
+			return e, false
+		}
+		return &Case{Whens: whens, Else: els}, true
+	default:
+		return e, false
+	}
+}
+
+// bindList binds a list of expressions, copying the list only when one of
+// them changed.
+func bindList(list []Expr, args []types.Datum) ([]Expr, bool) {
+	var out []Expr
+	for i, a := range list {
+		b, c := bindParams(a, args)
+		if c && out == nil {
+			out = make([]Expr, len(list))
+			copy(out, list[:i])
+		}
+		if out != nil {
+			out[i] = b
+		}
+	}
+	if out == nil {
+		return list, false
+	}
+	return out, true
+}
+
+// HasParam reports whether e holds a Param.
+func HasParam(e Expr) bool {
+	found := false
+	Walk(e, func(x Expr) bool {
+		if _, ok := x.(*Param); ok {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

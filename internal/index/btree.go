@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 
 	"github.com/bullfrogdb/bullfrog/internal/storage"
@@ -45,10 +46,30 @@ type node interface {
 	firstLeafGE(key []byte) (*leaf, int)
 }
 
+// leaf holds its keys in order in slots. A slot keeps its key as a span of
+// the leaf's arena rather than a slice of its own, and its first posting
+// inline: a key with one TID, the common case of a unique index, costs its
+// bytes plus one slot and no allocation of its own.
 type leaf struct {
-	keys [][]byte
-	tids [][]storage.TID // posting list per key
-	next *leaf
+	slots []slot
+	// arena holds the key bytes of the slots, appended as keys arrive.
+	// Bytes are never overwritten: a delete leaves them dead, and the arena
+	// is rebuilt into a fresh array once half of it is dead, so a key slice
+	// handed to a reader stays intact.
+	arena []byte
+	dead  int
+	next  *leaf
+}
+
+type slot struct {
+	off, n uint32 // the key is arena[off : off+n]
+	tid    storage.TID
+	more   *[]storage.TID // postings after tid; nil while there are none
+}
+
+func (l *leaf) key(i int) []byte {
+	s := l.slots[i]
+	return l.arena[s.off : s.off+s.n : s.off+s.n]
 }
 
 type inner struct {
@@ -56,12 +77,12 @@ type inner struct {
 	children []node
 }
 
-// search returns the first position with keys[pos] >= key.
-func searchKeys(keys [][]byte, key []byte) int {
-	lo, hi := 0, len(keys)
+// search returns the first slot with key >= key.
+func (l *leaf) search(key []byte) int {
+	lo, hi := 0, len(l.slots)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], key) < 0 {
+		if bytes.Compare(l.key(mid), key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -70,63 +91,100 @@ func searchKeys(keys [][]byte, key []byte) int {
 	return lo
 }
 
+func (l *leaf) has(pos int, key []byte) bool {
+	return pos < len(l.slots) && bytes.Equal(l.key(pos), key)
+}
+
 func (l *leaf) insert(key []byte, tid storage.TID, counter *int) (node, []byte) {
-	pos := searchKeys(l.keys, key)
-	if pos < len(l.keys) && bytes.Equal(l.keys[pos], key) {
-		for _, existing := range l.tids[pos] {
+	pos := l.search(key)
+	if l.has(pos, key) {
+		s := &l.slots[pos]
+		if s.tid == tid {
+			return nil, nil // duplicate posting
+		}
+		if s.more == nil {
+			s.more = &[]storage.TID{}
+		}
+		for _, existing := range *s.more {
 			if existing == tid {
-				return nil, nil // duplicate posting
+				return nil, nil
 			}
 		}
-		l.tids[pos] = append(l.tids[pos], tid)
+		*s.more = append(*s.more, tid)
 		*counter++
 		return nil, nil
 	}
-	l.keys = append(l.keys, nil)
-	copy(l.keys[pos+1:], l.keys[pos:])
-	l.keys[pos] = append([]byte(nil), key...)
-	l.tids = append(l.tids, nil)
-	copy(l.tids[pos+1:], l.tids[pos:])
-	l.tids[pos] = []storage.TID{tid}
+	off := len(l.arena)
+	l.arena = append(l.arena, key...)
+	l.slots = slices.Insert(l.slots, pos, slot{off: uint32(off), n: uint32(len(key)), tid: tid})
 	*counter++
-	if len(l.keys) <= btreeOrder {
+	if len(l.slots) <= btreeOrder {
 		return nil, nil
 	}
-	// Split.
-	mid := len(l.keys) / 2
-	right := &leaf{
-		keys: append([][]byte(nil), l.keys[mid:]...),
-		tids: append([][]storage.TID(nil), l.tids[mid:]...),
-		next: l.next,
-	}
-	l.keys = l.keys[:mid:mid]
-	l.tids = l.tids[:mid:mid]
+	// Split, each half into an arena of its own keys.
+	mid := len(l.slots) / 2
+	right := &leaf{next: l.next}
+	right.slots = append(right.slots, l.slots[mid:]...)
+	right.arena = repack(right.slots, l.arena)
+	l.slots = l.slots[:mid:mid]
+	l.arena = repack(l.slots, l.arena)
+	l.dead = 0
 	l.next = right
-	return right, right.keys[0]
+	return right, append([]byte(nil), right.key(0)...)
+}
+
+// repack copies the slots' keys out of arena into a fresh array and points
+// the slots at it.
+func repack(slots []slot, arena []byte) []byte {
+	n := 0
+	for _, s := range slots {
+		n += int(s.n)
+	}
+	out := make([]byte, 0, n)
+	for i, s := range slots {
+		slots[i].off = uint32(len(out))
+		out = append(out, arena[s.off:s.off+s.n]...)
+	}
+	return out
 }
 
 func (l *leaf) delete(key []byte, tid storage.TID) bool {
-	pos := searchKeys(l.keys, key)
-	if pos >= len(l.keys) || !bytes.Equal(l.keys[pos], key) {
+	pos := l.search(key)
+	if !l.has(pos, key) {
 		return false
 	}
-	posting := l.tids[pos]
-	for i, existing := range posting {
-		if existing == tid {
-			l.tids[pos] = append(posting[:i:i], posting[i+1:]...)
-			if len(l.tids[pos]) == 0 {
-				// Remove the key entirely; no rebalancing (lazy deletion).
-				l.keys = append(l.keys[:pos], l.keys[pos+1:]...)
-				l.tids = append(l.tids[:pos], l.tids[pos+1:]...)
-			}
-			return true
-		}
+	s := &l.slots[pos]
+	var more []storage.TID
+	if s.more != nil {
+		more = *s.more
 	}
-	return false
+	switch i := slices.Index(more, tid); {
+	case i >= 0:
+		more = slices.Delete(more, i, i+1)
+	case s.tid == tid && len(more) > 0:
+		s.tid, more = more[0], more[1:]
+	case s.tid == tid:
+		// The key's last posting: remove the key (no rebalancing; lazy
+		// deletion).
+		l.dead += int(s.n)
+		l.slots = slices.Delete(l.slots, pos, pos+1)
+		if l.dead > len(l.arena)/2 {
+			l.arena = repack(l.slots, l.arena)
+			l.dead = 0
+		}
+		return true
+	default:
+		return false
+	}
+	s.more = nil
+	if len(more) > 0 {
+		s.more = &more
+	}
+	return true
 }
 
 func (l *leaf) firstLeafGE(key []byte) (*leaf, int) {
-	return l, searchKeys(l.keys, key)
+	return l, l.search(key)
 }
 
 func (in *inner) childFor(key []byte) int {
@@ -203,10 +261,15 @@ func (t *BTree) Lookup(key []byte) []storage.TID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	l, pos := t.root.firstLeafGE(key)
-	if pos < len(l.keys) && bytes.Equal(l.keys[pos], key) {
-		return append([]storage.TID(nil), l.tids[pos]...)
+	if !l.has(pos, key) {
+		return nil
 	}
-	return nil
+	s := l.slots[pos]
+	out := []storage.TID{s.tid}
+	if s.more != nil {
+		out = append(out, *s.more...)
+	}
+	return out
 }
 
 // AscendRange visits postings with lo <= key < hi in key order (hi nil means
@@ -216,13 +279,20 @@ func (t *BTree) AscendRange(lo, hi []byte, fn func(key []byte, tid storage.TID) 
 	defer t.mu.RUnlock()
 	l, pos := t.root.firstLeafGE(lo)
 	for l != nil {
-		for ; pos < len(l.keys); pos++ {
-			if hi != nil && bytes.Compare(l.keys[pos], hi) >= 0 {
+		for ; pos < len(l.slots); pos++ {
+			key := l.key(pos)
+			if hi != nil && bytes.Compare(key, hi) >= 0 {
 				return
 			}
-			for _, tid := range l.tids[pos] {
-				if !fn(l.keys[pos], tid) {
-					return
+			s := l.slots[pos]
+			if !fn(key, s.tid) {
+				return
+			}
+			if s.more != nil {
+				for _, tid := range *s.more {
+					if !fn(key, tid) {
+						return
+					}
 				}
 			}
 		}

@@ -29,12 +29,14 @@ type Def struct {
 }
 
 // KeyFromRow extracts and encodes the index key for a full table row.
-func (d *Def) KeyFromRow(row types.Row) []byte {
-	key := make(types.Row, len(d.Columns))
-	for i, ord := range d.Columns {
-		key[i] = row[ord]
+func (d *Def) KeyFromRow(row types.Row) []byte { return d.AppendKey(nil, row) }
+
+// AppendKey appends the index key of a full table row to buf.
+func (d *Def) AppendKey(buf []byte, row types.Row) []byte {
+	for _, ord := range d.Columns {
+		buf = types.EncodeDatum(buf, row[ord])
 	}
-	return types.EncodeKey(nil, key)
+	return buf
 }
 
 // Index is the operation set shared by the B+tree and hash implementations.

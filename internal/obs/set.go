@@ -41,11 +41,10 @@ type EngineMetrics struct {
 	RowsScanned Counter
 	// RowsReturned counts rows emitted by plan execution.
 	RowsReturned Counter
-	// PlansBuilt counts compiled SELECT plans — the denominator a future
-	// plan cache would reuse against.
+	// PlansBuilt counts compiled statement plans: SELECT plans and the
+	// write plans of INSERT, UPDATE and DELETE statements.
 	PlansBuilt Counter
-	// PlansReused counts plan-cache hits (0 until a plan cache exists; the
-	// hook is here so the cache PR is measurable from day one).
+	// PlansReused counts plan-cache hits.
 	PlansReused Counter
 }
 

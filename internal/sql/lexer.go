@@ -16,12 +16,13 @@ const (
 	tokInt
 	tokFloat
 	tokSymbol // punctuation and operators
+	tokParam  // a literal slot of a statement template (see Shape)
 )
 
 type token struct {
 	kind tokenKind
-	text string // keywords upper-cased; idents lower-cased; symbols literal
-	pos  int    // byte offset, for error messages
+	text string // keywords upper-cased; idents lower-cased; symbols literal; a tokParam's kind letter
+	pos  int    // byte offset, for error messages; a tokParam's literal ordinal
 }
 
 // keywords recognized by the lexer. Everything else alphanumeric is an
@@ -44,13 +45,18 @@ var keywords = map[string]bool{
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src    string
+	pos    int
+	toks   []token
+	params int // tokParam tokens so far, when lexing a shape key
 }
 
 // lex tokenizes the input. SQL comments (-- to end of line) are skipped.
-func lex(src string) ([]token, error) {
+func lex(src string) ([]token, error) { return lexMode(src, false) }
+
+// lexMode is lex; with shape set, it reads a shape key (see Shape), whose
+// placeholders become tokParam tokens numbered in order.
+func lexMode(src string, shape bool) ([]token, error) {
 	l := &lexer{src: src}
 	for {
 		l.skipSpaceAndComments()
@@ -71,6 +77,10 @@ func lex(src string) ([]token, error) {
 			l.lexNumber(start)
 		case isIdentStart(c):
 			l.lexWord(start)
+		case shape && c == paramMark && l.pos+1 < len(l.src):
+			l.toks = append(l.toks, token{kind: tokParam, text: l.src[l.pos+1 : l.pos+2], pos: l.params})
+			l.params++
+			l.pos += 2
 		default:
 			if sym := l.lexSymbol(); sym == "" {
 				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)

@@ -1067,6 +1067,9 @@ func (p *parser) parseUnary() (expr.Expr, error) {
 				return expr.NewConst(types.NewFloat(-c.Val.Float())), nil
 			}
 		}
+		if prm, ok := inner.(*expr.Param); ok && (prm.Kind == types.KindInt || prm.Kind == types.KindFloat) {
+			return &expr.Param{Idx: prm.Idx, Kind: prm.Kind, Neg: !prm.Neg}, nil
+		}
 		return expr.NewBinOp(expr.OpSub, expr.NewConst(types.NewInt(0)), inner), nil
 	}
 	p.acceptSymbol("+")
@@ -1095,6 +1098,9 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 	case tokString:
 		p.next()
 		return expr.NewConst(types.NewString(t.text)), nil
+	case tokParam:
+		p.next()
+		return &expr.Param{Idx: t.pos, Kind: paramKinds[t.text[0]]}, nil
 	case tokSymbol:
 		if t.text == "(" {
 			p.next()

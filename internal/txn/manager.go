@@ -146,7 +146,7 @@ type Txn struct {
 
 	// ctx is the statement context bounding this transaction's blocking waits
 	// (lock-queue parking in LockTimeout). nil means no cancellation bound.
-	// Set per statement by the engine's ExecStmtContext; because a Txn is
+	// Set per statement by the engine's ExecPreparedContext; because a Txn is
 	// single-goroutine by contract, no synchronization is needed.
 	ctx context.Context
 

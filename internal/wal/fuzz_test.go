@@ -25,6 +25,9 @@ func fuzzSeedStream(tb testing.TB) []byte {
 				types.Null, types.NewString(strings.Repeat("y", 200))}},
 		{Type: RecUpdate, XID: 1, Table: "t", TID: storage.TID{Page: 1, Slot: 2},
 			Row: []types.Datum{types.NewInt(8)}},
+		{Type: RecUpdate, XID: 1, Table: "t", TID: storage.TID{Page: 3, Slot: 4},
+			Cols: []int{1, 4}, Row: []types.Datum{types.NewFloat(9.5), types.NewString("z")}},
+		{Type: RecUpdate, XID: 1, Table: "t", TID: storage.TID{Page: 3, Slot: 4}, Cols: []int{}},
 		{Type: RecDelete, XID: 1, Table: "t", TID: storage.TID{Page: 1, Slot: 2}},
 		{Type: RecMigrated, XID: 1, Table: "split:t", Key: []byte{0, 1, 2}},
 		{Type: RecInstall, Table: "v2"},
@@ -62,6 +65,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(fuzzLegacySeed(), 0)
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, 1)
+	f.Add(fuzzDeltaSeed(f), 3)
 	f.Fuzz(func(t *testing.T, data []byte, cut int) {
 		// Arbitrary bytes: must terminate with nil or ErrCorrupt.
 		if err := Replay(bytes.NewReader(data), func(Record) error { return nil }); err != nil && !errors.Is(err, ErrCorrupt) {
@@ -89,4 +93,25 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("prefix replayed %d records, full stream only %d", n, full)
 		}
 	})
+}
+
+// fuzzDeltaSeed is a log of update records that carry only their changed
+// columns.
+func fuzzDeltaSeed(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i, cols := range [][]int{{0}, {2, 5, 300}, {}} {
+		row := make(types.Row, len(cols))
+		for j := range row {
+			row[j] = types.NewInt(int64(i*10 + j))
+		}
+		if err := w.Append(Record{Type: RecUpdate, XID: 2, Table: "d", TID: storage.TID{Page: 9, Slot: uint32(i)}, Cols: cols, Row: row}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }

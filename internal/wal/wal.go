@@ -52,6 +52,10 @@ const (
 const (
 	wireInsertValues byte = 0x10
 	wireUpdateValues byte = 0x11
+	// wireUpdateDelta is an update record that carries only the changed
+	// columns: their ordinals, then their values in the value encoding.
+	// Replay patches the tuple's head row with them.
+	wireUpdateDelta byte = 0x12
 )
 
 func (t RecType) String() string {
@@ -83,6 +87,10 @@ func (t RecType) String() string {
 //
 //	RecBegin/RecCommit/RecAbort: XID only
 //	RecInsert/RecUpdate:         XID, Table, TID, Row (the new image)
+//	RecUpdate with Cols:         XID, Table, TID, Cols (the changed column
+//	                             ordinals, ascending) and Row (their new
+//	                             values, one per ordinal): a delta on the
+//	                             tuple's previous image
 //	RecDelete:                   XID, Table, TID
 //	RecMigrated:                 XID, Table (tracker name), Key (granule key)
 //	RecInstall:                  Table (migration name), Key (schema version
@@ -95,6 +103,7 @@ type Record struct {
 	Table string
 	TID   storage.TID
 	Row   types.Row
+	Cols  []int
 	Key   []byte
 }
 
@@ -538,10 +547,12 @@ func (w *Writer) Bytes() int64 {
 }
 
 func encodeRecord(buf []byte, rec Record) []byte {
-	switch rec.Type {
-	case RecInsert:
+	switch {
+	case rec.Type == RecInsert:
 		buf = append(buf, wireInsertValues)
-	case RecUpdate:
+	case rec.Type == RecUpdate && rec.Cols != nil:
+		buf = append(buf, wireUpdateDelta)
+	case rec.Type == RecUpdate:
 		buf = append(buf, wireUpdateValues)
 	default:
 		buf = append(buf, byte(rec.Type))
@@ -554,6 +565,12 @@ func encodeRecord(buf []byte, rec Record) []byte {
 		buf = appendString(buf, rec.Table)
 		buf = binary.AppendUvarint(buf, uint64(rec.TID.Page))
 		buf = binary.AppendUvarint(buf, uint64(rec.TID.Slot))
+		if rec.Cols != nil {
+			buf = binary.AppendUvarint(buf, uint64(len(rec.Cols)))
+			for _, ord := range rec.Cols {
+				buf = binary.AppendUvarint(buf, uint64(ord))
+			}
+		}
 		rowBytes := types.EncodeValues(nil, rec.Row)
 		buf = binary.AppendUvarint(buf, uint64(len(rowBytes)))
 		return append(buf, rowBytes...)
@@ -588,6 +605,7 @@ var ErrCorrupt = errors.New("wal: corrupt log")
 type Reader struct {
 	br      *bufio.Reader
 	scratch []byte
+	table   string // the previous record's table name, reused while it repeats
 }
 
 // NewReader wraps r in a WAL reader.
@@ -624,20 +642,26 @@ func (r *Reader) Next() (Record, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return Record{}, ErrCorrupt
 	}
-	return decodeRecord(payload)
+	return decodeRecord(payload, &r.table)
 }
 
-func decodeRecord(buf []byte) (Record, error) {
+// decodeRecord decodes one payload. table holds the table name of the
+// previous record: a record naming the same table shares the string instead
+// of allocating its own.
+func decodeRecord(buf []byte, table *string) (Record, error) {
 	if len(buf) == 0 {
 		return Record{}, ErrCorrupt
 	}
 	rec := Record{Type: RecType(buf[0])}
 	decodeRow := types.DecodeKey // legacy RecInsert/RecUpdate codes
+	delta := false
 	switch buf[0] {
 	case wireInsertValues:
 		rec.Type, decodeRow = RecInsert, types.DecodeValues
 	case wireUpdateValues:
 		rec.Type, decodeRow = RecUpdate, types.DecodeValues
+	case wireUpdateDelta:
+		rec.Type, decodeRow, delta = RecUpdate, types.DecodeValues, true
 	}
 	buf = buf[1:]
 	xid, n := binary.Uvarint(buf)
@@ -651,9 +675,11 @@ func decodeRecord(buf []byte) (Record, error) {
 		if n <= 0 || uint64(len(buf)-n) < l {
 			return "", ErrCorrupt
 		}
-		s := string(buf[n : n+int(l)])
+		if b := buf[n : n+int(l)]; string(b) != *table {
+			*table = string(b)
+		}
 		buf = buf[n+int(l):]
-		return s, nil
+		return *table, nil
 	}
 	readUvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(buf)
@@ -680,6 +706,20 @@ func decodeRecord(buf []byte) (Record, error) {
 			return Record{}, err
 		}
 		rec.TID = storage.TID{Page: uint32(page), Slot: uint32(slot)}
+		if delta {
+			n, err := readUvarint()
+			if err != nil || n > uint64(len(buf)) {
+				return Record{}, ErrCorrupt
+			}
+			rec.Cols = make([]int, n)
+			for i := range rec.Cols {
+				ord, err := readUvarint()
+				if err != nil || ord > 1<<16 {
+					return Record{}, ErrCorrupt
+				}
+				rec.Cols[i] = int(ord)
+			}
+		}
 		rowLen, err := readUvarint()
 		if err != nil || uint64(len(buf)) < rowLen {
 			return Record{}, ErrCorrupt
@@ -689,6 +729,9 @@ func decodeRecord(buf []byte) (Record, error) {
 			// Checksum-valid but undecodable is still corruption: keep the
 			// reader's contract at exactly {nil, io.EOF, ErrCorrupt}.
 			return Record{}, fmt.Errorf("%w: row: %v", ErrCorrupt, err)
+		}
+		if delta && len(row) != len(rec.Cols) {
+			return Record{}, fmt.Errorf("%w: delta has %d values for %d columns", ErrCorrupt, len(row), len(rec.Cols))
 		}
 		rec.Row = row
 		return rec, nil
@@ -739,20 +782,68 @@ func decodeRecord(buf []byte) (Record, error) {
 	}
 }
 
-// Replay reads every record, calling fn for each. It stops at a clean or
-// torn end-of-log, and propagates ErrCorrupt for mid-log corruption.
+// replayBatch is how many decoded records the decoder hands over at once.
+const replayBatch = 256
+
+// replayChunk is a run of decoded records, and the error that ended the log
+// after them (nil at a clean or torn end).
+type replayChunk struct {
+	recs []Record
+	err  error
+}
+
+// Replay reads every record, calling fn for each in log order. It stops at a
+// clean or torn end-of-log, and propagates ErrCorrupt for mid-log corruption
+// after fn has seen every record before it. Decoding runs on its own
+// goroutine, a few batches ahead of fn; it has stopped reading r by the time
+// Replay returns, so the caller may close r then.
 func Replay(r io.Reader, fn func(Record) error) error {
-	rd := NewReader(r)
+	ch := make(chan replayChunk, 4)
+	done := make(chan struct{})
+	go decodeAll(NewReader(r), ch, done)
+	defer func() {
+		close(done)
+		for range ch { // wait for the decoder to let go of r
+		}
+	}()
+	for c := range ch {
+		for _, rec := range c.recs {
+			if err := fn(rec); err != nil {
+				return err
+			}
+		}
+		if c.err != nil {
+			return c.err
+		}
+	}
+	return nil
+}
+
+// decodeAll sends rd's records to ch in batches until the end of the log or
+// until done closes, then closes ch.
+func decodeAll(rd *Reader, ch chan<- replayChunk, done <-chan struct{}) {
+	defer close(ch)
+	recs := make([]Record, 0, replayBatch)
 	for {
 		rec, err := rd.Next()
-		if err == io.EOF {
-			return nil
-		}
 		if err != nil {
-			return err
+			if err == io.EOF {
+				err = nil
+			}
+			select {
+			case ch <- replayChunk{recs: recs, err: err}:
+			case <-done:
+			}
+			return
 		}
-		if err := fn(rec); err != nil {
-			return err
+		recs = append(recs, rec)
+		if len(recs) == replayBatch {
+			select {
+			case ch <- replayChunk{recs: recs}:
+			case <-done:
+				return
+			}
+			recs = make([]Record, 0, replayBatch)
 		}
 	}
 }

@@ -313,3 +313,74 @@ func TestReaderDirectEOF(t *testing.T) {
 		t.Errorf("empty log: %v", err)
 	}
 }
+
+// TestDeltaUpdateRoundTrip pins the delta update record: the changed column
+// ordinals and their values come back as written, an empty delta stays a
+// delta (not a full image), and a record without Cols stays a full image.
+func TestDeltaUpdateRoundTrip(t *testing.T) {
+	recs := []Record{
+		{Type: RecUpdate, XID: 3, Table: "t", TID: storage.TID{Page: 1, Slot: 2},
+			Cols: []int{0, 3}, Row: types.Row{types.NewInt(5), types.NewString("x")}},
+		{Type: RecUpdate, XID: 3, Table: "t", TID: storage.TID{Page: 1, Slot: 2}, Cols: []int{}, Row: types.Row{}},
+		{Type: RecUpdate, XID: 3, Table: "t", TID: storage.TID{Page: 1, Slot: 2}, Row: types.Row{types.NewInt(1)}},
+	}
+	var log bytes.Buffer
+	w := NewWriter(&log)
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var got []Record
+	if err := Replay(bytes.NewReader(log.Bytes()), func(r Record) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
+	}
+	for i, r := range got {
+		if (r.Cols == nil) != (recs[i].Cols == nil) || len(r.Cols) != len(recs[i].Cols) || len(r.Row) != len(recs[i].Row) {
+			t.Fatalf("record %d: got %+v, want %+v", i, r, recs[i])
+		}
+		for j := range r.Cols {
+			if r.Cols[j] != recs[i].Cols[j] || !types.Identical(r.Row[j], recs[i].Row[j]) {
+				t.Fatalf("record %d: got %+v, want %+v", i, r, recs[i])
+			}
+		}
+	}
+	// A delta whose value count disagrees with its columns is corrupt.
+	bad := encodeRecord(nil, Record{Type: RecUpdate, XID: 1, Table: "t", Cols: []int{1, 2}, Row: types.Row{types.NewInt(1)}})
+	if _, err := decodeRecord(bad, new(string)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("mismatched delta decoded with %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReplayStopsDecodingOnError checks that Replay returns the callback's
+// error and that the decoder, which runs ahead, has let go of the reader.
+func TestReplayStopsDecodingOnError(t *testing.T) {
+	var log bytes.Buffer
+	w := NewWriter(&log)
+	for i := 0; i < 3*replayBatch; i++ {
+		if err := w.Append(Record{Type: RecCommit, XID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	n := 0
+	err := Replay(bytes.NewReader(log.Bytes()), func(Record) error {
+		n++
+		if n == 10 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || n != 10 {
+		t.Fatalf("Replay = %v after %d records, want stop after 10", err, n)
+	}
+}
